@@ -5,6 +5,10 @@ initialised, local mode), runs each ``queries()[name](sf_dir)`` at sf=0.01
 and compares it against the matching ``oracle_sql()[name]`` via DuckDB
 (row-count + schema + order-insensitive value-hash).
 
+Registration is by name: a module-level ``q_<name>`` function here or in
+``pipelines/queries.py`` is the registry query ``<name>``, and the string
+``_SQL_<NAME>`` in ``pipelines/queries.py``, when defined, is its oracle.
+
 Ray is initialised by the driver BEFORE this module is imported: nothing
 here (nor in the library) calls ``ray.init()`` / ``ray.shutdown()``.
 """
@@ -36,10 +40,17 @@ def _sf_of(sf_dir: str) -> float:
     return float(base.replace("sf", "")) if base.startswith("sf") else 0.01
 
 
+def _images(sf_dir: str, columns: list[str] | None = None):
+    """The image table at ``sf_dir``'s scale, generated on first use."""
+    from plateau_gis_converter_ray.sources.images import ensure_image_table, read_images
+
+    return read_images(ensure_image_table(_sf_of(sf_dir)), columns=columns)
+
+
 # ---- rows-only pipelines (non-SQL-expressible; exact kernels pytest-pinned)
 
 
-def _q_flagship_tiles(sf_dir: str):
+def q_flagship_tiles(sf_dir: str):
     from plateau_gis_converter_ray.pipelines.flagship import (
         flagship_result_ds,
         run_flagship,
@@ -49,17 +60,12 @@ def _q_flagship_tiles(sf_dir: str):
     return flagship_result_ds(res["out_dir"])
 
 
-def _q_image_decode_stats(sf_dir: str):
+def q_image_decode_stats(sf_dir: str):
     import ray.data
 
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.decode import ImageDecodeStats
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(files)
+    ds = _images(sf_dir)
     ds = ds.map_batches(ImageDecodeStats(), batch_format="pyarrow", batch_size=1024)
     from ray.data.aggregate import Count, Sum
 
@@ -91,32 +97,26 @@ def _q_image_decode_stats(sf_dir: str):
     )
 
 
-def _q_phash_dedup(sf_dir: str):
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
+def q_phash_dedup(sf_dir: str):
+    from plateau_gis_converter_ray.sources.images import ensure_image_table, image_files
     from plateau_gis_converter_ray.stages.dedup import phash_exact_dedup
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")
-    ]
-    return phash_exact_dedup(files)
+    return phash_exact_dedup(image_files(ensure_image_table(_sf_of(sf_dir))))
 
 
-def _q_minhash_pairs(sf_dir: str):
+def q_minhash_lsh_pairs(sf_dir: str):
     from plateau_gis_converter_ray.stages.dedup import minhash_lsh_candidates
 
     return minhash_lsh_candidates(sf_dir, jaccard_threshold=0.5)
 
 
-def _q_simhash_pairs(sf_dir: str):
+def q_simhash_pairs(sf_dir: str):
     from plateau_gis_converter_ray.stages.dedup import simhash_near_dup
 
     return simhash_near_dup(sf_dir, max_hamming=8)
 
 
-def _q_doc_signatures(sf_dir: str):
-    import ray.data
-
+def q_doc_signatures(sf_dir: str):
     from plateau_gis_converter_ray.stages.text import Signatures
 
     from plateau_gis_converter_ray.sources.tables import read_table
@@ -127,7 +127,7 @@ def _q_doc_signatures(sf_dir: str):
     ).select_columns(["doc_id", "simhash", "fingerprint"])
 
 
-def _q_slice_3dt(sf_dir: str):
+def q_slice_3dt_tiles(sf_dir: str):
     """Polygon slicing into 3DT tiles: municipality polygons -> per-tile
     fragment counts (the cesiumtiles slicing flat_map, slice.rs:216-391)."""
     import ray.data
@@ -172,7 +172,7 @@ def _q_slice_3dt(sf_dir: str):
     return ds.map_batches(slice_batch, batch_format="pyarrow")
 
 
-def _q_slice_mvt(sf_dir: str):
+def q_slice_mvt_tiles(sf_dir: str):
     """MVT polygon slicing: municipality polygons -> normalized-mercator ->
     buffered clip at z=8 -> per-tile ring stats (mvt/slice.rs:95-270)."""
     import ray.data
@@ -227,10 +227,9 @@ def _q_slice_mvt(sf_dir: str):
     return ds.map_batches(slice_batch, batch_format="pyarrow")
 
 
-def _q_project_jpr9(sf_dir: str):
+def q_project_jpr9(sf_dir: str):
     """CRS chain: geocode -> geoid shift -> JPR zone IX ETMerc (rows-only;
     the ETMerc math itself is pinned to PROJ fixtures in pytest)."""
-    import ray.data
     import numpy as np
     import pyarrow as pa
 
@@ -256,13 +255,13 @@ def _q_project_jpr9(sf_dir: str):
     return ds.map_batches(round_mm, batch_format="pyarrow")
 
 
-def _q_ivf_self_knn(sf_dir: str):
+def q_ivf_self_knn(sf_dir: str):
     from plateau_gis_converter_ray.stages.knn import ivf_self_knn
 
     return ivf_self_knn(sf_dir)
 
 
-def _q_embed_lsh_near_dup(sf_dir: str):
+def q_embed_lsh_near_dup(sf_dir: str):
     """Cosine-LSH near-dup (random-hyperplane buckets + exact in-bucket
     verify) over a planted-duplicate corpus — the hash-bucketed scale path
     beside the exact triangle self-join; recall >= 0.9 and soundness vs
@@ -278,21 +277,16 @@ def _q_embed_lsh_near_dup(sf_dir: str):
     return embedding_lsh_near_dup(ds, dist2_threshold=2000)
 
 
-def _q_image_thumbs(sf_dir: str):
+def q_image_thumbs(sf_dir: str):
     """Multimodal resize stage: bytes -> t x t grayscale thumbs (actor pool);
     aggregate mean thumb intensity by (w, h) source size (rows-only)."""
     import ray.data
     import numpy as np
     import pyarrow as pa
 
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.decode import ImageResize
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(files, columns=["image_id", "bytes", "w", "h", "fmt"])
+    ds = _images(sf_dir, ["image_id", "bytes", "w", "h", "fmt"])
     ds = ds.map_batches(ImageResize(), batch_format="pyarrow", batch_size=1024)
 
     def agg(batch: pa.Table) -> pa.Table:
@@ -313,7 +307,7 @@ def _q_image_thumbs(sf_dir: str):
     )
 
 
-def _q_image_feature_knn(sf_dir: str):
+def q_image_feature_knn(sf_dir: str):
     """Multimodal retrieval chain (rows-only): image decode -> block-mean
     feature extract -> exact-integer cosine top-3 against a broadcast
     query matrix (stages/knn.py::image_feature_knn). Self-similarity
@@ -324,21 +318,14 @@ def _q_image_feature_knn(sf_dir: str):
     return image_feature_knn(_sf_of(sf_dir))
 
 
-def _q_raster_vector_clip(sf_dir: str):
+def q_raster_vector_clip(sf_dir: str):
     """Raster<->vector: clip municipality polygons against each image's
     georeferenced footprint, rasterize onto its pixel grid, emit coverage +
     masked-pixel stats (rows-only; geometry kernels pytest-pinned)."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.sources.municipalities import municipality_polygons
     from plateau_gis_converter_ray.stages.raster import RasterVectorClip
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(files, columns=["image_id", "bytes", "w", "h", "fmt"])
+    ds = _images(sf_dir, ["image_id", "bytes", "w", "h", "fmt"])
     return ds.map_batches(
         RasterVectorClip(municipality_polygons()),
         batch_format="pyarrow",
@@ -346,80 +333,47 @@ def _q_raster_vector_clip(sf_dir: str):
     )
 
 
-def _q_image_augment(sf_dir: str):
+def q_image_augment(sf_dir: str):
     """Deterministic image augmentation (hflip/vflip/center-crop/
     saturating brightness) as a stateless vectorized stage: one row per
     (image, augmentation) with augmented channel means + phash. Rows-only;
     pinned in pytest against a local per-image recompute and the analytic
     flip/brightness invariants."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.augment import ImageAugmentStats
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "w", "h", "fmt"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "w", "h", "fmt"])
     return ds.map_batches(
         ImageAugmentStats(), batch_format="pyarrow", batch_size=1024
     )
 
 
-def _q_raster_hillshade(sf_dir: str):
+def q_raster_hillshade(sf_dir: str):
     """Horn-method hillshade over the red plane as a DEM (gdaldem
     semantics: az 315 / alt 45 / z=1), per-image interior summary rows.
     Vectorized over (fmt,w,h) group stacks; bytes never shuffle.
     Rows-only; pinned in pytest against a local per-image recompute."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.raster_ops import HillshadeStats
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "w", "h", "fmt"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "w", "h", "fmt"])
     return ds.map_batches(
         HillshadeStats(), batch_format="pyarrow", batch_size=1024
     )
 
 
-def _q_raster_pyramid(sf_dir: str):
+def q_raster_pyramid(sf_dir: str):
     """GeoTIFF-overview pyramid: levels 0..3 of exact 2x truncating
     block-mean reductions, one row per (image, level) with integer pixel
     sum + position-weighted checksum. Rows-only; pinned in pytest (exact
     level arithmetic + the level-0 sum equals the decode stats sum)."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.raster_ops import PyramidLevels
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "w", "h", "fmt"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "w", "h", "fmt"])
     return ds.map_batches(
         PyramidLevels(), batch_format="pyarrow", batch_size=1024
     )
 
 
-def _q_texture_atlas(sf_dir: str):
+def q_texture_atlas(sf_dir: str):
     """Texture-atlas packing (stages/atlas.py): histogram-prefix dense
     rank per size class -> fixed-capacity 8x8 mosaics -> ONE pixel
     exchange keyed by atlas. Returns the per-atlas audit rows (occupancy
@@ -429,6 +383,7 @@ def _q_texture_atlas(sf_dir: str):
 
     from plateau_gis_converter_ray.sources.images import (
         ensure_image_table,
+        image_files,
         rows_for_sf,
     )
     from plateau_gis_converter_ray.stages.atlas import (
@@ -437,12 +392,7 @@ def _q_texture_atlas(sf_dir: str):
         atlas_summary,
     )
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
+    files = image_files(ensure_image_table(_sf_of(sf_dir)))
     meta = ray.data.read_parquet(files, columns=["image_id", "w", "h"])
     placements = atlas_placements(
         meta, grid=8, n_rows_hint=rows_for_sf(_sf_of(sf_dir))
@@ -460,27 +410,16 @@ def _q_texture_atlas(sf_dir: str):
     return atlas_summary(assemble_atlases(images, placements, grid=8))
 
 
-def _q_raster_integral_blocks(sf_dir: str):
+def q_raster_integral_blocks(sf_dir: str):
     """Summed-area-table quadrant sums per image
     (stages/decode.py::ImageIntegralBlocks): exact int64 SAT corner
     algebra, zero exchanges, then a per-fmt reduce of quadrant energies.
     Rows-only; the corner algebra is pinned against direct per-quadrant
     sums in tests/test_wave32.py."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.decode import ImageIntegralBlocks
     from plateau_gis_converter_ray.stages.treeagg import tree_group_agg
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "fmt", "w", "h"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     ds = ds.map_batches(
         ImageIntegralBlocks(), batch_format="pyarrow", batch_size=1024
     )
@@ -504,7 +443,7 @@ def _q_raster_integral_blocks(sf_dir: str):
     )
 
 
-def _q_image_sharpness(sf_dir: str):
+def q_image_sharpness(sf_dir: str):
     """Variance-of-Laplacian blur filter (stages/decode.py::ImageSharpness):
     per-image exact int64 Laplacian sums, zero exchanges (bytes never leave
     the decode task), then a tiny per-fmt reduce — n, blurry count, and the
@@ -512,16 +451,9 @@ def _q_image_sharpness(sf_dir: str):
     pinned against a naive per-image recompute in pytest."""
     import ray.data
 
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.decode import ImageSharpness
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(files, columns=["image_id", "bytes", "fmt", "w", "h"])
+    ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     ds = ds.map_batches(ImageSharpness(), batch_format="pyarrow", batch_size=1024)
 
     import numpy as np
@@ -550,7 +482,7 @@ def _q_image_sharpness(sf_dir: str):
     )
 
 
-def _q_image_patches(sf_dir: str):
+def q_image_patches(sf_dir: str):
     """ViT-style 4x4 patch statistics (stages/decode.py::ImagePatches):
     per-patch exact int64 gray sum/sq-sum via two np.add.reduceat passes
     over each decode stack, then the flat-patch curation filter
@@ -558,21 +490,10 @@ def _q_image_patches(sf_dir: str):
     exact counts and totals. Zero exchanges on the payload; only the
     16-row partials move. Rows-only; the patch sums are pinned against a
     per-image slicing recompute in pytest."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.decode import ImagePatches
     from plateau_gis_converter_ray.stages.treeagg import tree_group_agg
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "fmt", "w", "h"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     patches = ds.map_batches(
         ImagePatches(grid=4), batch_format="pyarrow", batch_size=1024
     )
@@ -604,28 +525,17 @@ def _q_image_patches(sf_dir: str):
     )
 
 
-def _q_image_entropy(sf_dir: str):
+def q_image_entropy(sf_dir: str):
     """Gray-histogram Shannon entropy per image
     (stages/decode.py::ImageEntropy) — the information-content curation
     filter. One np.add.at histogram scatter per decode stack, fixed
     bin-order entropy reduction (bit-deterministic), then a per-fmt
     reduce using only order-free aggregations (count, min, max, low-
     entropy flag sum). Rows-only; pinned against a per-image recompute."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.decode import ImageEntropy
     from plateau_gis_converter_ray.stages.treeagg import tree_group_agg
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "fmt", "w", "h"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     ent = ds.map_batches(
         ImageEntropy(), batch_format="pyarrow", batch_size=1024
     )
@@ -658,7 +568,7 @@ def _q_image_entropy(sf_dir: str):
     )
 
 
-def _q_flagship_incremental(sf_dir: str):
+def q_flagship_incremental(sf_dir: str):
     """Incremental flagship (IVM): chunked tile-assignment counts fold
     into a maintained keyed parquet table via the exactly-once upsert
     ledger (pipelines/flagship.py::run_flagship_incremental); applying
@@ -671,27 +581,16 @@ def _q_flagship_incremental(sf_dir: str):
     return run_flagship_incremental(sf=_sf_of(sf_dir))["table"]
 
 
-def _q_contour_segments(sf_dir: str):
+def q_contour_segments(sf_dir: str):
     """Marching-squares contour extraction over the red-plane DEM
     (stages/raster_ops.py::ContourSegments) — raster -> vector lines, the
     inverse pairing of polygon_rasterize. Integer 16-case segment counts
     reduce per fmt with order-free sums/max only. Rows-only; the case
     table is pinned against a scalar per-cell recompute in pytest."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.raster_ops import ContourSegments
     from plateau_gis_converter_ray.stages.treeagg import tree_group_agg
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "fmt", "w", "h"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     seg = ds.map_batches(
         ContourSegments(), batch_format="pyarrow", batch_size=1024
     )
@@ -708,28 +607,17 @@ def _q_contour_segments(sf_dir: str):
     )
 
 
-def _q_image_ssim(sf_dir: str):
+def q_image_ssim(sf_dir: str):
     """Windowed SSIM of every decoded image vs its deterministic
     re-synthesis (stages/decode.py::ImageSSIM) — the perceptual quality
     score next to psnr_db: lossless fmts pin at exactly 1e6 ppm, the
     lossy stub lands high but below. Integer ppm output keeps every
     aggregate an order-free exact sum. Rows-only; pinned against a
     scalar per-window recompute in pytest."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.decode import ImageSSIM
     from plateau_gis_converter_ray.stages.treeagg import tree_group_agg
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "fmt", "w", "h"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     ss = ds.map_batches(ImageSSIM(), batch_format="pyarrow", batch_size=1024)
 
     import numpy as np
@@ -758,33 +646,22 @@ def _q_image_ssim(sf_dir: str):
     )
 
 
-def _q_raster_blob_count(sf_dir: str):
+def q_raster_blob_count(sf_dir: str):
     """Connected-component blob labeling per image
     (stages/decode.py::RasterBlobCount): vectorized min-label propagation
     over the decode stack, zero exchanges. Rows-only; the labeling is
     pinned against a scalar BFS in pytest. Returns per-image rows
     (image_id, fmt, n_blobs, fg_px, max_blob) so every count is
     externally checkable."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.decode import RasterBlobCount
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "fmt", "w", "h"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     return ds.map_batches(
         RasterBlobCount(), batch_format="pyarrow", batch_size=1024
     )
 
 
-def _q_flow_accumulation(sf_dir: str):
+def q_flow_accumulation(sf_dir: str):
     """D8 flow accumulation over the red-plane DEM
     (stages/raster_ops.py::FlowAccumulation): max-drop flow routing +
     elevation-banded topological accumulation sweep (<=256 vectorized
@@ -792,119 +669,68 @@ def _q_flow_accumulation(sf_dir: str):
     Rows-only (iterative algorithm, no SQL twin); pinned in pytest
     against a scalar per-cell recompute plus the mass-conservation
     invariant drained == w*h."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.raster_ops import FlowAccumulation
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "fmt", "w", "h"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     return ds.map_batches(
         FlowAccumulation(), batch_format="pyarrow", batch_size=1024
     )
 
 
-def _q_watershed_labels(sf_dir: str):
+def q_watershed_labels(sf_dir: str):
     """Watershed decomposition over the red-plane DEM
     (stages/raster_ops.py::WatershedStats): pointer doubling over the D8
     target graph labels every cell with its draining pit in
     log2(longest-flow-path) vectorized rounds; per-image basin stats,
     zero exchanges. Rows-only; pinned in pytest against scalar
     pointer-following and the n_basins == n_pits cross-invariant."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.raster_ops import WatershedStats
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "fmt", "w", "h"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     return ds.map_batches(
         WatershedStats(), batch_format="pyarrow", batch_size=1024
     )
 
 
-def _q_terrain_metrics(sf_dir: str):
+def q_terrain_metrics(sf_dir: str):
     """gdaldem TRI/TPI/roughness terrain metrics
     (stages/raster_ops.py::TerrainMetrics): exact-integer 3x3 window
     statistics carried 8x/9x-scaled so no division ever happens, per-image
     summary rows, zero exchanges. Rows-only; pinned in pytest against a
     scalar window recompute."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.raster_ops import TerrainMetrics
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "fmt", "w", "h"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     return ds.map_batches(
         TerrainMetrics(), batch_format="pyarrow", batch_size=1024
     )
 
 
-def _q_viewshed(sf_dir: str):
+def q_viewshed(sf_dir: str):
     """R2 viewshed analysis from the center observer
     (stages/raster_ops.py::ViewshedStats): ring-by-ring running-max sight
     angles over the Franklin-Ray predecessor lines, vectorized across the
     decode stack, zero exchanges. Rows-only; pinned in pytest against a
     scalar per-cell line walk plus flat-terrain / wall-shadow analytic
     cases."""
-    import ray.data
-
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.raster_ops import ViewshedStats
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "fmt", "w", "h"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     return ds.map_batches(
         ViewshedStats(), batch_format="pyarrow", batch_size=1024
     )
 
 
-def _q_image_equalize(sf_dir: str):
+def q_image_equalize(sf_dir: str):
     """Histogram equalization (stages/decode.py::ImageEqualize): per-image
     integer CDF remap, zero exchanges; tiny per-fmt reduce of the exact
     before/after sums + positional checksum. Rows-only; the remap is
     pinned against a naive per-image recompute in pytest."""
     import ray.data
 
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.decode import ImageEqualize
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(files, columns=["image_id", "bytes", "fmt", "w", "h"])
+    ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     ds = ds.map_batches(ImageEqualize(), batch_format="pyarrow", batch_size=1024)
 
     import numpy as np
@@ -934,7 +760,7 @@ def _q_image_equalize(sf_dir: str):
     )
 
 
-def _q_image_letterbox(sf_dir: str):
+def q_image_letterbox(sf_dir: str):
     """Letterbox/pillarbox bar detection (stages/decode.py::ImageLetterbox):
     per-image exact uint8 border-run margins, zero exchanges (bytes never
     leave the decode task); tiny per-fmt reduce of counts + exact margin
@@ -942,16 +768,9 @@ def _q_image_letterbox(sf_dir: str):
     per-image recompute AND synthetic known-bar images in pytest."""
     import ray.data
 
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.decode import ImageLetterbox
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(files, columns=["image_id", "bytes", "fmt", "w", "h"])
+    ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     ds = ds.map_batches(ImageLetterbox(), batch_format="pyarrow", batch_size=1024)
 
     import numpy as np
@@ -986,7 +805,7 @@ def _q_image_letterbox(sf_dir: str):
     )
 
 
-def _q_zonal_stats(sf_dir: str):
+def q_zonal_stats(sf_dir: str):
     """Raster ZONAL STATISTICS: the raster<->vector clip stage's per-image
     rows aggregate per polygon (municipality) — image count, covered /
     total pixel sums, and the coverage-WEIGHTED masked mean intensity as
@@ -995,24 +814,14 @@ def _q_zonal_stats(sf_dir: str):
     pytest against a local pandas recompute of the same clip rows."""
     import numpy as np
     import pyarrow as pa
-    import ray.data
 
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.sources.municipalities import (
         municipality_polygons,
     )
     from plateau_gis_converter_ray.stages.raster import RasterVectorClip
     from plateau_gis_converter_ray.stages.treeagg import tree_group_agg
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f)
-        for f in sorted(os.listdir(path))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(
-        files, columns=["image_id", "bytes", "w", "h", "fmt"]
-    )
+    ds = _images(sf_dir, ["image_id", "bytes", "w", "h", "fmt"])
     clip = ds.map_batches(
         RasterVectorClip(municipality_polygons()),
         batch_format="pyarrow",
@@ -1052,7 +861,7 @@ def _q_zonal_stats(sf_dir: str):
     )
 
 
-def _q_citygml_parse(sf_dir: str):
+def q_citygml_parse(sf_dir: str):
     """REAL per-file CityGML XML parse (source/citygml.rs:60-141 role):
     file-parallel read_binary_files -> ElementTree parse -> codelist-coded
     usage resolution, aggregated per usage (count, total height in cm).
@@ -1080,7 +889,7 @@ def _q_citygml_parse(sf_dir: str):
     )
 
 
-def _q_earcut_triangulate(sf_dir: str):
+def q_earcut_triangulate(sf_dir: str):
     """Earcut over deterministic CONCAVE star footprints (radial polygons,
     radius varying per vertex): per footprint (pid, n_vertices,
     n_triangles, ring_area_e9, tri_area_e9) — the triangulation invariants
@@ -1140,27 +949,23 @@ def _q_earcut_triangulate(sf_dir: str):
     )
 
 
-def _q_image_dup_clusters(sf_dir: str):
+def q_image_dup_clusters(sf_dir: str):
     """Image near-dup clusters over the image table: multi-index-hashing
     phash Hamming pairs (exact for hamming<=3 by pigeonhole — see
     stages/dedup.py::phash_hamming_near_dup) -> distributed connected
     components -> (img, comp) cluster labels. Rows-only (the image table
     is synthesized outside the driver's DuckDB views); exactness is
     pinned by the brute-force union-find pytest."""
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
+    from plateau_gis_converter_ray.sources.images import ensure_image_table, image_files
     from plateau_gis_converter_ray.stages.dedup import phash_hamming_near_dup
     from plateau_gis_converter_ray.stages.graph import connected_components
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")
-    ]
-    pairs = phash_hamming_near_dup(files)
+    pairs = phash_hamming_near_dup(image_files(ensure_image_table(_sf_of(sf_dir))))
     comp = connected_components(pairs, src="img_a", dst="img_b")
     return comp.rename_columns({"doc_id": "img"})
 
 
-def _q_caption_city_stats(sf_dir: str):
+def q_caption_city_stats(sf_dir: str):
     """Multimodal text+pixels aggregate: decode every image, parse the
     city token out of its caption (vectorized Arrow split/list_element —
     captions follow '{adj} photo of a {noun} in {city} #{idx}'), and
@@ -1171,17 +976,11 @@ def _q_caption_city_stats(sf_dir: str):
     decode loop by pytest."""
     import numpy as np
     import pyarrow as pa
-    import ray.data
 
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.decode import ImageDecodeStats
     from plateau_gis_converter_ray.stages.treeagg import tree_group_agg
 
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(files)
+    ds = _images(sf_dir)
     dec = ds.map_batches(
         ImageDecodeStats(verify_psnr=False),
         batch_format="pyarrow",
@@ -1240,27 +1039,19 @@ def _q_caption_city_stats(sf_dir: str):
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-def _q_image_decode_quarantine(sf_dir: str):
+def q_image_decode_quarantine(sf_dir: str):
     """Poison-row tolerant decode: deterministically corrupt ~1/8 of the
     image payloads (truncate / unknown fmt, keyed on splitmix64 of the
     stored phash), run the quarantining decode, and aggregate per-reason
     counts — the corrupt rows land in the dead-letter lane, the pipeline
     finishes, and the good rows keep the PSNR invariant. Rows-only;
     pytest pins exact counts and good-row stat equality."""
-    import ray.data
-
     from plateau_gis_converter_ray.kernels.imagecodec import splitmix64
-    from plateau_gis_converter_ray.sources.images import ensure_image_table
     from plateau_gis_converter_ray.stages.decode import QuarantiningDecode
     from plateau_gis_converter_ray.stages.treeagg import tree_group_agg
 
     import numpy as np
     import pyarrow as pa
-
-    path = ensure_image_table(_sf_of(sf_dir))
-    files = [
-        os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")
-    ]
 
     def corrupt(batch: pa.Table) -> pa.Table:
         ph = batch.column("phash").to_numpy()
@@ -1279,7 +1070,7 @@ def _q_image_decode_quarantine(sf_dir: str):
         )
 
     ds = (
-        ray.data.read_parquet(files)
+        _images(sf_dir)
         .map_batches(corrupt, batch_format="pyarrow", batch_size=1024)
         .map_batches(QuarantiningDecode(), batch_format="pyarrow", batch_size=1024)
     )
@@ -1302,7 +1093,7 @@ def _q_image_decode_quarantine(sf_dir: str):
     )
 
 
-def _q_pip_cell_join(sf_dir: str):
+def q_pip_cell_join(sf_dir: str):
     """Cell-keyed hash-join spatial join (the polygon-side-at-scale plan:
     polygons replicated per overlapped mesh cell WITH their geometry in
     the row — no broadcast), exact ray-casting verify, first-match via
@@ -1314,7 +1105,7 @@ def _q_pip_cell_join(sf_dir: str):
     return pip_cell_join(sf_dir)
 
 
-def _q_clip_score_filter(sf_dir: str):
+def q_clip_score_filter(sf_dir: str):
     """CLIP-style caption<->image alignment filter (encoder towers are
     deterministic fakes, decode + scoring plumbing real — zero exchanges;
     stages/clipscore.py). Rows-only; pytest pins determinism, local
@@ -1324,7 +1115,7 @@ def _q_clip_score_filter(sf_dir: str):
     return clip_score_filter(_sf_of(sf_dir))
 
 
-def _q_audio_features(sf_dir: str):
+def q_audio_features(sf_dir: str):
     """Multimodal audio stage (decode stubbed deterministically, Ray
     plumbing real — stages/av.py); clip count scales with sf."""
     from plateau_gis_converter_ray.stages.av import audio_features_ds
@@ -1332,13 +1123,13 @@ def _q_audio_features(sf_dir: str):
     return audio_features_ds(n_clips=max(32, int(_sf_of(sf_dir) * 6400)))
 
 
-def _q_video_frame_sample(sf_dir: str):
+def q_video_frame_sample(sf_dir: str):
     from plateau_gis_converter_ray.stages.av import video_frame_sample_ds
 
     return video_frame_sample_ds(n_clips=max(16, int(_sf_of(sf_dir) * 3200)))
 
 
-def _q_audio_vad_segments(sf_dir: str):
+def q_audio_vad_segments(sf_dir: str):
     """Energy-threshold VAD segmentation (stages/av.py::AudioVadSegments):
     exact-integer window energies, vectorized gaps-and-islands run
     detection across the clip stack. Decoder stubbed deterministically,
@@ -1348,7 +1139,7 @@ def _q_audio_vad_segments(sf_dir: str):
     return audio_vad_ds(n_clips=max(32, int(_sf_of(sf_dir) * 6400)))
 
 
-def _q_video_scene_cuts(sf_dir: str):
+def q_video_scene_cuts(sf_dir: str):
     """Shot-boundary detection (stages/av.py::VideoSceneCuts): per-frame
     exact integer luma sums, multiplication-only per-mille threshold on
     consecutive deltas. Stub decoder, real plumbing; scalar-pinned."""
@@ -1357,7 +1148,7 @@ def _q_video_scene_cuts(sf_dir: str):
     return video_scene_cuts_ds(n_clips=max(16, int(_sf_of(sf_dir) * 3200)))
 
 
-def _q_citygml_chain(sf_dir: str):
+def q_citygml_chain(sf_dir: str):
     """Transform chain off REAL parsed XML (v2 corpus: 3 feature types,
     2 LODs, nested generic-attribute trees, BuildingParts): parse ->
     flatten -> lod-filter(highest) -> dot-flatten -> golden-count
@@ -1373,7 +1164,7 @@ def _q_citygml_chain(sf_dir: str):
     return citygml_chain_counts(ensure_citygml_corpus_v2(_sf_of(sf_dir)))
 
 
-def _q_appearance_xml_two_phase(sf_dir: str):
+def q_appearance_xml_two_phase(sf_dir: str):
     """Two-phase appearance resolve off parsed XML theme stores
     (appearance.rs:17-21 theme selection + Theme map lookups) — the
     XML-driven sibling of the tabular appearance_two_phase. Rows-only;
@@ -1389,63 +1180,29 @@ def _q_appearance_xml_two_phase(sf_dir: str):
 
 
 def queries() -> dict[str, Callable[[str], Any]]:
-    from plateau_gis_converter_ray.pipelines.queries import QUERIES
+    """Every module-level ``q_<name>`` function of the query registry
+    module and of this module, keyed by ``<name>``."""
+    import inspect
 
-    out = dict(QUERIES)
-    out.update(
-        {
-            "flagship_tiles": _q_flagship_tiles,
-            "image_decode_stats": _q_image_decode_stats,
-            "phash_dedup": _q_phash_dedup,
-            "minhash_lsh_pairs": _q_minhash_pairs,
-            "simhash_pairs": _q_simhash_pairs,
-            "doc_signatures": _q_doc_signatures,
-            "slice_3dt_tiles": _q_slice_3dt,
-            "slice_mvt_tiles": _q_slice_mvt,
-            "project_jpr9": _q_project_jpr9,
-            "ivf_self_knn": _q_ivf_self_knn,
-            "embed_lsh_near_dup": _q_embed_lsh_near_dup,
-            "image_thumbs": _q_image_thumbs,
-            "raster_vector_clip": _q_raster_vector_clip,
-            "zonal_stats": _q_zonal_stats,
-            "raster_hillshade": _q_raster_hillshade,
-            "raster_pyramid": _q_raster_pyramid,
-            "texture_atlas": _q_texture_atlas,
-            "image_sharpness": _q_image_sharpness,
-            "raster_integral_blocks": _q_raster_integral_blocks,
-            "image_patches": _q_image_patches,
-            "image_entropy": _q_image_entropy,
-            "image_ssim": _q_image_ssim,
-            "contour_segments": _q_contour_segments,
-            "flagship_incremental": _q_flagship_incremental,
-            "raster_blob_count": _q_raster_blob_count,
-            "flow_accumulation": _q_flow_accumulation,
-            "watershed_labels": _q_watershed_labels,
-            "terrain_metrics": _q_terrain_metrics,
-            "viewshed": _q_viewshed,
-            "image_equalize": _q_image_equalize,
-            "image_letterbox": _q_image_letterbox,
-            "image_augment": _q_image_augment,
-            "image_feature_knn": _q_image_feature_knn,
-            "earcut_triangulate": _q_earcut_triangulate,
-            "citygml_parse": _q_citygml_parse,
-            "citygml_chain": _q_citygml_chain,
-            "appearance_xml_two_phase": _q_appearance_xml_two_phase,
-            "audio_features": _q_audio_features,
-            "video_frame_sample": _q_video_frame_sample,
-            "audio_vad_segments": _q_audio_vad_segments,
-            "video_scene_cuts": _q_video_scene_cuts,
-            "image_dup_clusters": _q_image_dup_clusters,
-            "caption_city_stats": _q_caption_city_stats,
-            "pip_cell_join": _q_pip_cell_join,
-            "image_decode_quarantine": _q_image_decode_quarantine,
-            "clip_score_filter": _q_clip_score_filter,
-        }
-    )
+    from plateau_gis_converter_ray.pipelines import queries as registry
+
+    out: dict[str, Callable[[str], Any]] = {}
+    for scope in (vars(registry), globals()):
+        for attr, fn in scope.items():
+            # defined in that module, not imported into it
+            if not (attr.startswith("q_") and inspect.isfunction(fn)
+                    and fn.__module__ == scope["__name__"]):
+                continue
+            if attr[2:] in out:
+                raise ValueError(f"query {attr[2:]!r} is defined in both modules")
+            out[attr[2:]] = fn
     return out
 
 
 def oracle_sql() -> dict[str, str]:
-    from plateau_gis_converter_ray.pipelines.queries import ORACLES
+    """The module-level ``_SQL_<NAME>`` string of the query registry
+    module for every query ``<name>`` that has one."""
+    from plateau_gis_converter_ray.pipelines import queries as registry
 
-    return dict(ORACLES)
+    sql = {name: getattr(registry, f"_SQL_{name.upper()}", None) for name in queries()}
+    return {name: s for name, s in sql.items() if isinstance(s, str)}

@@ -33,7 +33,7 @@ import time
 import numpy as np
 import pyarrow as pa
 
-from ..sources.images import ensure_image_table
+from ..sources.images import ensure_image_table, image_files
 from ..sources.municipalities import municipality_polygons
 from ..stages.decode import ImageDecodeStats
 from ..stages.geocode import add_lnglat_hash, geocode_hash
@@ -234,6 +234,17 @@ def _merge_fan_ins(n_files: int) -> list[int]:
     return [1]
 
 
+def _part_files(out_dir: str) -> list[str]:
+    """The committed ``part=*/*.parquet`` files of a flagship output."""
+    return [
+        os.path.join(out_dir, d, f)
+        for d in sorted(os.listdir(out_dir))
+        if d.startswith("part=")
+        for f in sorted(os.listdir(os.path.join(out_dir, d)))
+        if f.endswith(".parquet")
+    ]
+
+
 def run_flagship(
     sf: float = 0.001,
     out_dir: str | None = None,
@@ -242,11 +253,7 @@ def run_flagship(
 ) -> dict:
     """Run the flagship job chunk-resumably; returns metrics + result path."""
     table_dir = ensure_image_table(sf)
-    files = sorted(
-        os.path.join(table_dir, f)
-        for f in os.listdir(table_dir)
-        if f.endswith(".parquet")
-    )
+    files = image_files(table_dir)
     out_dir = out_dir or f"/tmp/plateau_ray_out/flagship_{PIPELINE_VERSION}_sf{sf:g}"
     manifest = PartitionManifest(out_dir, {"sf": sf, "zooms": [MIN_ZOOM, MAX_ZOOM]})
     done = manifest.completed_keys() if resume else set()
@@ -294,13 +301,7 @@ def run_flagship(
 
         from ..sinks.tileset import tileset_from_aggregate
 
-        part_files = [
-            os.path.join(out_dir, d, f)
-            for d in sorted(os.listdir(out_dir))
-            if d.startswith("part=")
-            for f in sorted(os.listdir(os.path.join(out_dir, d)))
-            if f.endswith(".parquet")
-        ]
+        part_files = _part_files(out_dir)
         if part_files:
             rows = pads.dataset(part_files).to_table().to_pylist()
             tileset_from_aggregate(rows, tileset_path)
@@ -319,14 +320,7 @@ def flagship_result_ds(out_dir: str):
     """Read back the merged flagship aggregate (final associative reduce)."""
     import ray.data
 
-    parts = [
-        os.path.join(out_dir, d, f)
-        for d in sorted(os.listdir(out_dir))
-        if d.startswith("part=")
-        for f in sorted(os.listdir(os.path.join(out_dir, d)))
-        if f.endswith(".parquet")
-    ]
-    ds = ray.data.read_parquet(parts)
+    ds = ray.data.read_parquet(_part_files(out_dir))
     return ds.repartition(1).map_batches(
         _merge_partials, batch_format="pyarrow", batch_size=None
     )
@@ -536,14 +530,9 @@ def run_flagship_incremental(sf: float = 0.001, out_dir: str | None = None,
     import ray  # noqa: F401  (session owned by the caller)
 
     from ..sinks.upsert import read_keyed_table, upsert
-    from ..sources.images import ensure_image_table
 
     table_dir = ensure_image_table(sf)
-    files = sorted(
-        os.path.join(table_dir, f)
-        for f in os.listdir(table_dir)
-        if f.endswith(".parquet")
-    )
+    files = image_files(table_dir)
     out_dir = out_dir or (
         f"/tmp/plateau_ray_out/flagship_ivm_{PIPELINE_VERSION}_sf{sf:g}"
     )

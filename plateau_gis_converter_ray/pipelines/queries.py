@@ -1,8 +1,11 @@
 """Query registry: every operator pipeline + its DuckDB oracle SQL.
 
-Each entry is a callable ``(sf_dir) -> Dataset | DataFrame | pa.Table``; for
-SQL-expressible semantics ``ORACLES[name]`` holds the ANSI-SQL equivalent the
-driver runs on the same parquet (order-insensitive value-hash compare).
+Registration is by name alone: a module-level function ``q_<name>`` is the
+registry query ``<name>``, a callable ``(sf_dir) -> Dataset | DataFrame |
+pa.Table``; for SQL-expressible semantics the module-level string
+``_SQL_<NAME>`` holds the ANSI-SQL equivalent the driver runs on the same
+parquet (order-insensitive value-hash compare). ``__ray_entry__.queries()``
+and ``oracle_sql()`` read the registry off these names.
 
 Determinism contract with the oracle:
 - integer-scaled aggregates (2-decimal money -> cents) so distributed float
@@ -85,6 +88,9 @@ FROM pts GROUP BY 1, 2
 """
 
 
+_SQL_TILE_WM_Z12 = _sql_tile_wm_z12()
+
+
 # ---------------------------------------------------------------------------
 # 2. Non-square 3D-Tiles scheme tiling (scheme.rs:32-38)
 
@@ -126,6 +132,9 @@ FROM s GROUP BY 1, 2
 """
 
 
+_SQL_TILE_3DT_Z7 = _sql_tile_3dt_z7()
+
+
 # ---------------------------------------------------------------------------
 # 3. Mesh PIP join (rectangular municipality mesh; SQL-exact)
 
@@ -164,6 +173,9 @@ FROM pts GROUP BY 1
 """
 
 
+_SQL_PIP_MESH = _sql_pip_mesh()
+
+
 # ---------------------------------------------------------------------------
 # 4. Point kNN: brute force + cell-ring variant (same oracle)
 
@@ -197,6 +209,10 @@ WITH q AS (
 )
 SELECT event_id, qid AS nearest_qid FROM d WHERE rn = 1
 """
+
+
+_SQL_KNN_POINTS = _sql_knn_points()
+_SQL_KNN_POINTS_CELLRING = _SQL_KNN_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +266,9 @@ FROM pts, q GROUP BY qid
 """
 
 
+_SQL_RADIUS_COUNT_JOIN = _sql_radius_count_join()
+
+
 # ---------------------------------------------------------------------------
 # 5. Q1-style pricing summary (integer-scaled; the groupby-agg workhorse)
 
@@ -293,7 +312,7 @@ def q_pricing_summary(sf_dir: str):
     )
 
 
-_SQL_PRICING = """
+_SQL_PRICING_SUMMARY = """
 SELECT l_returnflag, l_linestatus,
        CAST(SUM(CAST(ROUND(l_quantity) AS BIGINT)) AS BIGINT) AS sum_qty,
        CAST(SUM(CAST(ROUND(l_extendedprice * 100) AS BIGINT)) AS BIGINT) AS sum_base_price_c,
@@ -418,6 +437,9 @@ def q_top_orders_bloom(sf_dir: str):
     )
     agg = agg.rename_columns({"l_orderkey": "o_orderkey"})
     return agg.sort(["revenue_s", "o_orderkey"], descending=[True, False]).limit(10)
+
+
+_SQL_TOP_ORDERS_BLOOM = _SQL_TOP_ORDERS
 
 
 # ---------------------------------------------------------------------------
@@ -709,7 +731,7 @@ def q_text_stats_by_lang(sf_dir: str):
     )
 
 
-_SQL_TEXT_STATS = """
+_SQL_TEXT_STATS_BY_LANG = """
 SELECT lang, COUNT(*) AS n_docs,
        CAST(SUM(LEN(REGEXP_EXTRACT_ALL(text, '\\S+'))) AS BIGINT) AS sum_tokens,
        CAST(SUM(LENGTH(text)) AS BIGINT) AS sum_chars,
@@ -918,7 +940,7 @@ def q_centroid_recentre(sf_dir: str):
     return ds.map_batches(recentre, batch_format="pyarrow")
 
 
-_SQL_CENTROID = """
+_SQL_CENTROID_RECENTRE = """
 WITH k AS (
   SELECT event_id, (event_id * 9973) % 240000 AS kk,
          (122.0 + (((event_id * 9973) % 240000) / 10000.0)) AS lng
@@ -932,7 +954,7 @@ SELECT event_id, lng - (SELECT mean_lng FROM m) AS lng_centred FROM k
 # 20. Codelist resolution (SURVEY §2.1: broadcast dictionary lookup)
 
 
-def q_codelist(sf_dir: str):
+def q_codelist_resolve(sf_dir: str):
     """Codes resolve against a REAL gml:Dictionary XML file, parsed lazily
     once per actor (resolver.rs path-keyed cache; the file is synthesized
     deterministically from the lang dictionary)."""
@@ -952,7 +974,7 @@ def q_codelist(sf_dir: str):
     return ds.groupby("lang_label").aggregate(Count(alias_name="n_docs"))
 
 
-_SQL_CODELIST = """
+_SQL_CODELIST_RESOLVE = """
 SELECT CASE lang
          WHEN 'en' THEN 'English' WHEN 'de' THEN 'German'
          WHEN 'fr' THEN 'French' WHEN 'es' THEN 'Spanish'
@@ -998,6 +1020,9 @@ SELECT 'mesh_' ||
        MIN(lat) AS lat_min, MAX(lat) AS lat_max
 FROM pts GROUP BY 1
 """
+
+
+_SQL_PIP_MESH_BBOX = _sql_pip_mesh_bbox()
 
 
 
@@ -1063,6 +1088,9 @@ WITH q AS (
 )
 SELECT event_id, rn AS rank, qid FROM d WHERE rn <= 3
 """
+
+
+_SQL_KNN_POINTS_TOP3 = _sql_knn_points_top3()
 
 
 
@@ -1200,7 +1228,7 @@ def q_asof_latest_order(sf_dir: str):
     )
 
 
-_SQL_ASOF = """
+_SQL_ASOF_LATEST_ORDER = """
 WITH j AS (
   SELECT e.event_id, e.user_id, o.o_orderkey,
          ROW_NUMBER() OVER (
@@ -1283,7 +1311,7 @@ def q_embed_near_dup_cosine(sf_dir: str):
     return block_pair_join(ds, cos_pairs, "dot_q", n_blocks=8)
 
 
-_SQL_EMBED_COSINE = f"""
+_SQL_EMBED_NEAR_DUP_COSINE = f"""
 WITH ee AS (
   SELECT vec_id, i, CAST(ROUND(embedding[i] * 100) AS BIGINT) AS ev
   FROM embeddings, (SELECT UNNEST(RANGE(1, 65)) AS i)
@@ -1338,7 +1366,7 @@ def q_appearance_theme(sf_dir: str):
     return appearance_theme_join(sf_dir)
 
 
-_SQL_APPEARANCE = """
+_SQL_APPEARANCE_THEME = """
 WITH n AS (SELECT COUNT(*) AS np FROM part),
 e AS (
   SELECT event_id,
@@ -1417,7 +1445,7 @@ def q_vertex_dedup_global(sf_dir: str):
     return agg
 
 
-_SQL_VERTEX_DEDUP = """
+_SQL_VERTEX_DEDUP_GLOBAL = """
 SELECT (event_id * 37) % 5000 AS x_mm,
        (event_id * 91) % 4000 AS y_mm,
        (event_id * 13) % 300 AS z_mm,
@@ -1561,6 +1589,9 @@ SELECT lang, lang_pred, COUNT(*) AS n FROM p GROUP BY 1, 2
 """
 
 
+_SQL_LANG_CONFUSION = _sql_lang_confusion()
+
+
 # ---------------------------------------------------------------------------
 # 30b. Quality filter (the training-data quality gate, integer thresholds)
 
@@ -1689,7 +1720,7 @@ def q_range_join_recent(sf_dir: str):
     )
 
 
-_SQL_RANGE_JOIN = """
+_SQL_RANGE_JOIN_RECENT = """
 SELECT e.event_id, e.user_id, COUNT(o.o_orderkey) AS n_recent_orders
 FROM events e LEFT JOIN orders o
   ON o.o_custkey = e.user_id + 1
@@ -1777,7 +1808,7 @@ def q_median_value_per_user(sf_dir: str):
     return hist.map_batches(median_from_hist, batch_format="pandas", batch_size=None)
 
 
-_SQL_MEDIAN = """
+_SQL_MEDIAN_VALUE_PER_USER = """
 SELECT user_id,
        MEDIAN(CAST(ROUND(value * 100) AS BIGINT)) AS median_c,
        COUNT(*) AS n
@@ -1813,7 +1844,7 @@ def q_mode_event_type(sf_dir: str):
     return counts.map_batches(pick_mode, batch_format="pandas", batch_size=None)
 
 
-_SQL_MODE = """
+_SQL_MODE_EVENT_TYPE = """
 WITH c AS (
   SELECT user_id, event_type, COUNT(*) AS cnt FROM events GROUP BY 1, 2
 ), r AS (
@@ -1832,13 +1863,13 @@ SELECT user_id, event_type AS mode_type, cnt AS mode_n FROM r WHERE rn = 1
 # values are integer-scaled)
 
 
-def q_ngram_jaccard(sf_dir: str):
+def q_ngram_jaccard_pairs(sf_dir: str):
     from ..stages.dedup import ngram_jaccard_blocked
 
     return ngram_jaccard_blocked(sf_dir)
 
 
-_SQL_NGRAM_JACCARD = """
+_SQL_NGRAM_JACCARD_PAIRS = """
 WITH sh AS (
   SELECT doc_id, lang, source, n_chars // 32 AS lb,
          list_distinct(
@@ -2295,7 +2326,7 @@ def _doc_tf(sf_dir: str):
     )
 
 
-def q_top_terms(sf_dir: str, k: int = 3):
+def q_top_terms_per_doc(sf_dir: str, k: int = 3):
     # tf feeds BOTH the df aggregate and the join probe side; materialize
     # once so the tokenize + combiner tree doesn't execute twice (blocks
     # stay in the object store and spill — no driver copy)
@@ -2348,7 +2379,7 @@ def q_top_terms(sf_dir: str, k: int = 3):
     )
 
 
-_SQL_TOP_TERMS = """
+_SQL_TOP_TERMS_PER_DOC = """
 WITH tok AS (
   SELECT doc_id, UNNEST(string_split(text, ' ')) AS term FROM documents
 ), tf AS (
@@ -2763,7 +2794,7 @@ SELECT lang, doc_id, h FROM r WHERE rn <= 20
 # accounting) is rows-only and pytest-pinned.
 
 
-def q_stream_tumbling(sf_dir: str) -> pd.DataFrame:
+def q_stream_tumbling_windows(sf_dir: str) -> pd.DataFrame:
     from ..stages.streaming import stream_windowed_counts
 
     # infinite lateness => the result is independent of the micro-batch
@@ -2781,7 +2812,7 @@ def q_stream_tumbling(sf_dir: str) -> pd.DataFrame:
     return out
 
 
-_SQL_STREAM_TUMBLING = """
+_SQL_STREAM_TUMBLING_WINDOWS = """
 SELECT CAST(FLOOR(EPOCH(ts) / 86400) * 86400 * 1000000 AS BIGINT)
          AS win_start_us,
        COUNT(*) AS n,
@@ -3533,6 +3564,9 @@ FROM dcg d JOIN idcg i USING (qid)
 """
 
 
+_SQL_NDCG_AT_K = _sql_ndcg_at_k()
+
+
 # ---------------------------------------------------------------------------
 # 49. PageRank over the near-dup pair graph — the repo's iterative
 # bulk-synchronous dataflow: 5 power-iteration rounds, each ONE hash-join
@@ -3728,7 +3762,7 @@ FROM deg JOIN r{iters} ON r{iters}.node = deg.node
     )
 
 
-_SQL_PAGERANK = _sql_pagerank()
+_SQL_PAGERANK_DUPGRAPH = _sql_pagerank()
 
 
 # ---------------------------------------------------------------------------
@@ -5843,6 +5877,9 @@ FROM st GROUP BY 1
 """
 
 
+_SQL_USER_TRAVEL_DISTANCE = _sql_user_travel_distance()
+
+
 # ---------------------------------------------------------------------------
 # Time-RANGE sliding window: per event, the sum/count of the user's events
 # in the trailing hour INCLUDING ts-peers (SQL RANGE-frame semantics, the
@@ -6343,7 +6380,7 @@ def q_latest_event_per_user(sf_dir: str):
     return ds
 
 
-_SQL_LATEST_EVENT = """
+_SQL_LATEST_EVENT_PER_USER = """
 SELECT user_id, event_id, epoch_us(ts) AS ts_us, event_type,
        CAST(ROUND(value * 100) AS BIGINT) AS value_c
 FROM events
@@ -6740,7 +6777,7 @@ def q_cheapest_supplier_per_part(sf_dir: str):
     )
 
 
-_SQL_CHEAPEST_SUPPLIER = """
+_SQL_CHEAPEST_SUPPLIER_PER_PART = """
 WITH px AS (
   SELECT l_partkey, CAST(ROUND(l_extendedprice * 100) AS BIGINT) AS price_c,
          l_suppkey
@@ -6832,7 +6869,7 @@ def q_rich_idle_customers(sf_dir: str):
     return seed.union(agg)
 
 
-_SQL_RICH_IDLE = """
+_SQL_RICH_IDLE_CUSTOMERS = """
 WITH pos AS (
   SELECT c_custkey, c_nationkey,
          CAST(ROUND(c_acctbal * 100) AS BIGINT) AS bal_c
@@ -7129,6 +7166,8 @@ def q_stream_session_windows(sf_dir: str):
 
     return stream_session_windows(sf_dir)
 
+
+_SQL_STREAM_SESSION_WINDOWS = _SQL_SESSIONIZE
 
 
 # ---------------------------------------------------------------------------
@@ -7450,7 +7489,7 @@ def q_cooccur_event_pairs(sf_dir: str):
     )
 
 
-_SQL_COOCCUR = """
+_SQL_COOCCUR_EVENT_PAIRS = """
 WITH ut AS (SELECT DISTINCT user_id, event_type FROM events)
 SELECT a.event_type AS type_a, b.event_type AS type_b,
        COUNT(*) AS n_users
@@ -8349,7 +8388,7 @@ def q_priority_semijoin_counts(sf_dir: str):
     )
 
 
-_SQL_PRIORITY_SEMIJOIN = """
+_SQL_PRIORITY_SEMIJOIN_COUNTS = """
 SELECT o_orderpriority, COUNT(*) AS order_count
 FROM orders
 WHERE EXISTS (SELECT 1 FROM lineitem
@@ -8422,7 +8461,7 @@ def q_mutual_knn_pairs(sf_dir: str, k: int = 5):
     return agg.map_batches(mutual, batch_format="pyarrow")
 
 
-_SQL_MUTUAL_KNN = """
+_SQL_MUTUAL_KNN_PAIRS = """
 WITH e AS (
   SELECT vec_id, i, CAST(ROUND(embedding[i] * 100) AS BIGINT) AS v
   FROM embeddings, (SELECT UNNEST(RANGE(1, 65)) AS i)
@@ -8630,7 +8669,7 @@ def q_gini_order_values(sf_dir: str):
     )
 
 
-_SQL_GINI = """
+_SQL_GINI_ORDER_VALUES = """
 WITH b AS (
   SELECT o_orderpriority,
          CAST(ROUND(o_totalprice * 100) AS BIGINT) AS x,
@@ -10181,6 +10220,9 @@ GROUP BY 1, 2, 3
 """
 
 
+_SQL_TILE_NEIGHBOR_SMOOTH = _sql_tile_neighbor_smooth()
+
+
 # ---------------------------------------------------------------------------
 # Wave 10: vector overlay (segment-intersection join), DBSCAN, per-group OLS
 # regression, snapshot CDC diff, time-series gap-fill resample, JSONL source.
@@ -10904,7 +10946,7 @@ def q_coverage_gap_points(sf_dir: str):
     return coverage_gap_points(sf_dir)
 
 
-_SQL_COVERAGE_GAP = """
+_SQL_COVERAGE_GAP_POINTS = """
 WITH ev AS (
   SELECT user_id, event_id, ts,
          (event_id * 9973) % 240000 AS x,
@@ -10974,7 +11016,7 @@ def q_hex_bin_counts(sf_dir: str):
     )
 
 
-_SQL_HEX_BIN = """
+_SQL_HEX_BIN_COUNTS = """
 WITH p AS (
   SELECT (event_id * 9973) % 240000 AS x,
          (event_id * 7919) % 220000 AS y
@@ -11049,7 +11091,7 @@ def q_idw_interpolation(sf_dir: str):
     return agg.map_batches(finish, batch_format="pyarrow")
 
 
-_SQL_IDW = """
+_SQL_IDW_INTERPOLATION = """
 WITH grid AS (
   SELECT gi * 30000 + 15000 AS gx, gj * 27500 + 13750 AS gy
   FROM range(8) r1(gi) CROSS JOIN range(8) r2(gj)
@@ -12225,6 +12267,9 @@ def _sql_k_core(k: int = 3, rounds: int = 16) -> str:
     return "\n".join(parts)
 
 
+_SQL_K_CORE = _sql_k_core()
+
+
 def q_getis_ord_hotspots(sf_dir: str):
     """Getis-Ord Gi* hotspot z-scores per occupied z10 tile — the LOCAL
     sibling of ``morans_i``: which tiles sit in statistically hot (or
@@ -12354,6 +12399,9 @@ FROM nb, g
 """
 
 
+_SQL_GETIS_ORD_HOTSPOTS = _sql_getis_ord()
+
+
 def q_implicit_quadtree(sf_dir: str):
     """3D Tiles 1.1 implicit-quadtree subtree encoding over the z11
     WebMercator event tiles (`sinks/implicit.py`): each occupied tile
@@ -12450,6 +12498,9 @@ FROM tiles t LEFT JOIN childs c
 """
 
 
+_SQL_IMPLICIT_QUADTREE = _sql_implicit_quadtree()
+
+
 def q_geofence_transitions(sf_dir: str):
     """Geofence entry/exit detection — the spatial × sequence composite a
     fleet/mobility pipeline runs constantly: geocode each event, assign it
@@ -12539,6 +12590,9 @@ SELECT from_region, to_region, CAST(COUNT(*) AS BIGINT) AS n
 FROM w WHERE to_region IS NOT NULL AND to_region <> from_region
 GROUP BY 1, 2
 """
+
+
+_SQL_GEOFENCE_TRANSITIONS = _sql_geofence_transitions()
 
 
 def q_cusum_changepoint(sf_dir: str):
@@ -12819,6 +12873,9 @@ WITH pts AS (
 SELECT {digit} AS quadkey, CAST(COUNT(*) AS BIGINT) AS n
 FROM t GROUP BY 1
 """
+
+
+_SQL_QUADKEY_ENCODE = _sql_quadkey_encode()
 
 
 def q_split_candidates(sf_dir: str):
@@ -13881,6 +13938,9 @@ FROM s, p
 """
 
 
+_SQL_MORANS_I = _sql_morans_i()
+
+
 # ---------------------------------------------------------------------------
 # Wave 32: chi-square independence cells, user set-similarity (Jaccard over
 # event-type bitmasks), discrete-Fréchet track join
@@ -14941,6 +15001,9 @@ FROM t LEFT JOIN e ON e.x = t.x AND e.y = t.y, g
 """
 
 
+_SQL_LOCAL_MORANS_I = _sql_local_morans_i()
+
+
 def q_xcf_hourly(sf_dir: str):
     """Cross-correlation (lags 0..3) between the zero-densified hourly
     count series of every unordered event-type pair: with H grid hours,
@@ -15122,6 +15185,9 @@ SELECT c.mesh_id, c.event_type, c.n_mt,
        CAST(c.n_mt * n AS DOUBLE) / CAST(n_m * n_t AS DOUBLE) AS lq
 FROM c JOIN m USING (mesh_id) JOIN t USING (event_type), g
 """
+
+
+_SQL_LOCATION_QUOTIENT = _sql_location_quotient()
 
 
 _RIPLEY_RADII = (2000, 5000, 10000)
@@ -15543,6 +15609,9 @@ FROM c GROUP BY 1
 """
 
 
+_SQL_HHI_CONCENTRATION = _sql_hhi_concentration()
+
+
 def q_benford_digits(sf_dir: str):
     """Benford first-digit audit of order totals (cents): exact counts per
     leading digit 1..9 — the classic fabricated-data screen. The leading
@@ -15624,6 +15693,21 @@ def _tile_counts_z10(sf_dir: str):
     )
 
 
+# The tile-lattice moments are int64 sums. Each is at most
+# factor * max(n) * N for the largest tile count max(n), the point count N
+# and a per-query factor, so past this limit they could wrap silently and
+# the query raises instead.
+_INT64_MOMENT_LIMIT = 1 << 63
+
+
+def _guard_moments(query: str, n_max: int, n_total: int, factor: int) -> None:
+    if factor * n_max * n_total >= _INT64_MOMENT_LIMIT:
+        raise OverflowError(
+            f"{query}: int64 moments may wrap (largest tile count {n_max}, "
+            f"{n_total} points); split them into hi/lo words first"
+        )
+
+
 def q_geary_c(sf_dir: str):
     """Global Geary's C of z10 tile event counts (8-neighbor queen
     weights) — the local-variance complement to ``morans_i``: C < 1 is
@@ -15690,6 +15774,7 @@ def q_geary_c(sf_dir: str):
                 "s2": pa.array([(c * c).sum()]),
                 "num": pa.array([(d * c * c - 2 * c * s + ss).sum()]),
                 "w": pa.array([d.sum()]),
+                "cmax": pa.array([c.max(initial=0)]),
             }
         )
 
@@ -15697,10 +15782,12 @@ def q_geary_c(sf_dir: str):
         tiles.map_batches(moments, batch_format="pyarrow"),
         ["g"],
         {"nt": ("nt", "sum"), "s1": ("s1", "sum"), "s2": ("s2", "sum"),
-         "num": ("num", "sum"), "w": ("w", "sum")},
+         "num": ("num", "sum"), "w": ("w", "sum"), "cmax": ("cmax", "max")},
     ).to_pandas()
     nt, s1, s2 = int(mom["nt"][0]), int(mom["s1"][0]), int(mom["s2"][0])
     num, w = int(mom["num"][0]), int(mom["w"][0])
+    # 2·c·s, the largest term: each tile's 8 neighbors sum to <= 8·max(n)
+    _guard_moments("geary_c", int(mom["cmax"][0]), s1, 16)
     return pd.DataFrame(
         {
             "n_tiles": np.array([nt], np.int64),
@@ -15742,6 +15829,9 @@ FROM s, p
 """
 
 
+_SQL_GEARY_C = _sql_geary_c()
+
+
 def q_quadrat_vmr(sf_dir: str):
     """Quadrat-count variance/mean ratio over the z10 tile lattice — the
     textbook complete-spatial-randomness screen (VMR ≈ 1 Poisson, > 1
@@ -15763,6 +15853,7 @@ def q_quadrat_vmr(sf_dir: str):
                 "occ": pa.array([np.int64(len(k))]),
                 "np_": pa.array([n.sum()]),
                 "ssq": pa.array([(n * n).sum()]),
+                "nmax": pa.array([n.max(initial=0)]),
                 "x0": pa.array([x.min() if len(x) else np.int64(1 << 40)]),
                 "x1": pa.array([x.max() if len(x) else np.int64(-1)]),
                 "y0": pa.array([y.min() if len(y) else np.int64(1 << 40)]),
@@ -15774,10 +15865,11 @@ def q_quadrat_vmr(sf_dir: str):
         counts.map_batches(fold, batch_format="pyarrow"),
         ["g"],
         {"occ": ("occ", "sum"), "np_": ("np_", "sum"), "ssq": ("ssq", "sum"),
-         "x0": ("x0", "min"), "x1": ("x1", "max"),
+         "nmax": ("nmax", "max"), "x0": ("x0", "min"), "x1": ("x1", "max"),
          "y0": ("y0", "min"), "y1": ("y1", "max")},
     ).to_pandas()
     occ, n_pts, ssq = int(mom["occ"][0]), int(mom["np_"][0]), int(mom["ssq"][0])
+    _guard_moments("quadrat_vmr", int(mom["nmax"][0]), n_pts, 1)
     q = (int(mom["x1"][0]) - int(mom["x0"][0]) + 1) * (
         int(mom["y1"][0]) - int(mom["y0"][0]) + 1
     )
@@ -15814,6 +15906,9 @@ SELECT CAST(np_ AS BIGINT) AS n_points, CAST(q AS BIGINT) AS n_quadrats,
        CAST(q * ssq - np_ * np_ AS DOUBLE) / CAST(q * np_ AS DOUBLE) AS vmr
 FROM s
 """
+
+
+_SQL_QUADRAT_VMR = _sql_quadrat_vmr()
 
 
 # ---------------------------------------------------------------------------
@@ -16394,6 +16489,9 @@ FROM m GROUP BY 1
 """
 
 
+_SQL_ZORDER_LAYOUT = _sql_zorder_layout()
+
+
 # ---------------------------------------------------------------------------
 # Wave 45: edit-distance similarity join via FastSS deletion neighborhoods
 # (the exact small-radius string-join primitive next to the token-level
@@ -16410,20 +16508,24 @@ def q_edit_distance_pairs(sf_dir: str):
     exact — no all-pairs. Within a variant bucket the verify is fully
     vectorized: equal-length candidates need exactly a hamming ≤ 1 check
     (byte-matrix mismatch count); length±1 candidates are distance 1 by
-    construction. Pairs dedup across buckets with a combiner tree. The SQL
-    twin builds the same neighborhoods with SUBSTR/UNNEST and verifies
-    with DuckDB's levenshtein — same exact semantics, independent code."""
+    construction. Pairs dedup across buckets with a combiner tree. Names
+    compare as UTF-8 bytes, the unit DuckDB's levenshtein counts in. The
+    SQL twin builds character-deletion neighborhoods with SUBSTR/UNNEST
+    (for valid UTF-8 a superset of the byte-distance ≤ 1 candidates) and
+    verifies with levenshtein — same exact semantics, independent code."""
     from ..kernels.segments import segmented_arange
     from ..stages.treeagg import clean_arrow
 
     ds = _read(sf_dir, "customer", ["c_custkey", "c_name"])
 
     def variants(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
+        # all in UTF-8 bytes: lengths, deletions and the verify, so the
+        # distance is the byte-wise one DuckDB's levenshtein computes
         keys = batch.column("c_custkey").to_numpy()
-        names = batch.column("c_name").to_numpy(zero_copy_only=False)
-        lens = pc.binary_length(batch.column("c_name")).to_numpy()
+        names = np.array(
+            batch.column("c_name").cast(pa.binary()).to_pylist(), dtype=object
+        )
+        lens = np.fromiter(map(len, names), np.int64, len(names))
         out_v: list[np.ndarray] = []
         out_k: list[np.ndarray] = []
         out_s: list[np.ndarray] = []
@@ -16431,24 +16533,26 @@ def q_edit_distance_pairs(sf_dir: str):
             sel = lens == L
             sub = names[sel]
             ksub = keys[sel]
-            mat = np.frombuffer(
-                "".join(sub).encode("utf-8"), dtype=np.uint8
-            ).reshape(len(sub), L)
+            mat = np.frombuffer(b"".join(sub), dtype=np.uint8).reshape(len(sub), L)
             # identity variant (covers the insertion case)
             out_v.append(sub)
             out_k.append(ksub)
             out_s.append(sub)
             for i in range(L):
                 dele = np.delete(mat, i, axis=1)
-                vs = dele.reshape(-1).view(f"S{L - 1}").astype(str)
+                vs = (
+                    dele.reshape(-1).view(f"S{L - 1}").astype(object)
+                    if L > 1
+                    else np.full(len(sub), b"", dtype=object)
+                )
                 out_v.append(vs)
                 out_k.append(ksub)
                 out_s.append(sub)
         return pa.table(
             {
-                "v": pa.array(np.concatenate(out_v)),
+                "v": pa.array(np.concatenate(out_v), pa.binary()),
                 "key": pa.array(np.concatenate(out_k)),
-                "s": pa.array(np.concatenate(out_s)),
+                "s": pa.array(np.concatenate(out_s), pa.binary()),
             }
         )
 
@@ -16483,8 +16587,8 @@ def q_edit_distance_pairs(sf_dir: str):
         a_idx = np.repeat(start, w) + segmented_arange(w)
         ka, kb = keys[a_idx], keys[b_idx]
         sa, sb = names[a_idx], names[b_idx]
-        la = np.char.str_len(sa.astype(str))
-        lb = np.char.str_len(sb.astype(str))
+        la = np.fromiter(map(len, sa), np.int64, len(sa))
+        lb = np.fromiter(map(len, sb), np.int64, len(sb))
         dist = np.full(len(ka), -1, np.int64)
         # length differs by exactly 1 within a shared-variant bucket →
         # the shorter IS the deletion of the longer: distance exactly 1
@@ -16493,12 +16597,8 @@ def q_edit_distance_pairs(sf_dir: str):
             sel = (la == L) & (lb == L)
             if not sel.any():
                 continue
-            ma = np.frombuffer(
-                "".join(sa[sel]).encode("utf-8"), dtype=np.uint8
-            ).reshape(-1, L)
-            mb = np.frombuffer(
-                "".join(sb[sel]).encode("utf-8"), dtype=np.uint8
-            ).reshape(-1, L)
+            ma = np.frombuffer(b"".join(sa[sel]), dtype=np.uint8).reshape(-1, L)
+            mb = np.frombuffer(b"".join(sb[sel]), dtype=np.uint8).reshape(-1, L)
             ham = (ma != mb).sum(axis=1)
             d = np.where(ham <= 1, ham, -1)
             dist[sel] = d
@@ -16530,7 +16630,9 @@ WITH names AS (
   SELECT c_custkey AS k, c_name AS s FROM customer
 ), var AS (
   SELECT k, s, SUBSTR(s, 1, i - 1) || SUBSTR(s, i + 1) AS v
-  FROM names CROSS JOIN (SELECT UNNEST(range(1, 64)) AS i)
+  FROM names CROSS JOIN (
+    SELECT UNNEST(range(1, (SELECT MAX(LENGTH(s)) FROM names) + 1)) AS i
+  )
   WHERE i <= LENGTH(s)
   UNION ALL
   SELECT k, s, s FROM names
@@ -16636,33 +16738,41 @@ FROM c
 # structure scores next to the global triangle_count and k_core.
 
 
-def _basket_graph(sf_dir: str, max_edges: int = 2_000_000):
-    """Shared graph prep: canonical min-support-2 co-purchase edges
-    (u < v) as a sorted packed-key array + per-node degrees. The edge
-    list is support-pruned and part-domain-bounded — same size-gated
-    driver contract as triangle_count's local_max_edges; the guard trips
-    loudly instead of materializing past it."""
-    pairs = q_basket_pairs(sf_dir, min_support=2)
-    pdf = pairs.select_columns(["part_a", "part_b"]).to_pandas()
-    if len(pdf) > max_edges:
+def _basket_edges(sf_dir: str):
+    """The canonical min-support-2 co-purchase edges (u < v) both wave-46
+    queries consume, computed ONCE per call (materialized: the driver
+    graph prep and the distributed wedge pass both read it)."""
+    return (
+        q_basket_pairs(sf_dir, min_support=2)
+        .select_columns(["part_a", "part_b"])
+        .materialize()
+    )
+
+
+def _basket_graph(edges, max_edges: int = 2_000_000):
+    """Shared graph prep: the edges as a sorted packed-key array +
+    per-node degrees. The edge list is support-pruned and part-domain-
+    bounded — same size-gated driver contract as triangle_count's
+    local_max_edges; the guard trips loudly instead of materializing
+    past it."""
+    n_edges = edges.count()
+    if n_edges > max_edges:
         raise ValueError(
-            f"_basket_graph: {len(pdf)} edges exceeds the driver gate "
+            f"_basket_graph: {n_edges} edges exceeds the driver gate "
             f"({max_edges}); raise the gate only with a distributed "
             "membership plan"
         )
+    pdf = edges.to_pandas()
     a = pdf["part_a"].to_numpy().astype(np.int64)
     b = pdf["part_b"].to_numpy().astype(np.int64)
     keys = np.sort(a * (1 << 32) + b)
     deg_nodes, deg = np.unique(np.concatenate([a, b]), return_counts=True)
-    return a, b, keys, deg_nodes, deg.astype(np.int64)
+    return keys, deg_nodes, deg.astype(np.int64)
 
 
-def _wedge_groups(sf_dir: str):
+def _wedge_groups(edges):
     """Symmetric (center, neighbor) edge Dataset bucketed by center — the
     distributed wedge-enumeration input both wave-46 queries share."""
-    import ray.data
-
-    pairs = q_basket_pairs(sf_dir, min_support=2)
 
     def sym(batch: pa.Table) -> pa.Table:
         a = batch.column("part_a").to_numpy()
@@ -16676,7 +16786,7 @@ def _wedge_groups(sf_dir: str):
             }
         )
 
-    return pairs.map_batches(sym, batch_format="pyarrow")
+    return edges.map_batches(sym, batch_format="pyarrow")
 
 
 def q_clustering_coefficient(sf_dir: str):
@@ -16694,7 +16804,8 @@ def q_clustering_coefficient(sf_dir: str):
     from ..kernels.segments import segmented_arange
     from ..stages.treeagg import clean_arrow
 
-    _, _, keys, deg_nodes, deg = _basket_graph(sf_dir)
+    edges = _basket_edges(sf_dir)
+    keys, deg_nodes, deg = _basket_graph(edges)
     kref = _ray.put(keys)
 
     def wedges(g: pd.DataFrame) -> pd.DataFrame:
@@ -16728,7 +16839,7 @@ def q_clustering_coefficient(sf_dir: str):
         return clean_arrow(agg)
 
     per_node = tree_group_agg(
-        _wedge_groups(sf_dir).groupby("bk").map_groups(
+        _wedge_groups(edges).groupby("bk").map_groups(
             wedges, batch_format="pandas"
         ),
         ["node"],
@@ -16798,7 +16909,8 @@ def q_link_pred_scores(sf_dir: str):
     from ..kernels.segments import segmented_arange
     from ..stages.treeagg import clean_arrow
 
-    _, _, keys, deg_nodes, deg = _basket_graph(sf_dir)
+    edges = _basket_edges(sf_dir)
+    keys, deg_nodes, deg = _basket_graph(edges)
     kref = _ray.put(keys)
 
     def wedge_pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -16827,7 +16939,7 @@ def q_link_pred_scores(sf_dir: str):
         return clean_arrow(out)
 
     cn = tree_group_agg(
-        _wedge_groups(sf_dir).groupby("bk").map_groups(
+        _wedge_groups(edges).groupby("bk").map_groups(
             wedge_pairs, batch_format="pandas"
         ),
         ["a", "b"],
@@ -16883,464 +16995,3 @@ SELECT n.a AS node_a, n.b AS node_b, CAST(n.cn AS BIGINT) AS cn,
 FROM nonadj n JOIN deg da ON da.node = n.a JOIN deg db ON db.node = n.b
 """
 )
-
-
-QUERIES = {
-    "tile_wm_z12": q_tile_wm_z12,
-    "tile_3dt_z7": q_tile_3dt_z7,
-    "pip_mesh": q_pip_mesh,
-    "knn_points": q_knn_points,
-    "knn_points_cellring": q_knn_points_cellring,
-    "radius_count_join": q_radius_count_join,
-    "pricing_summary": q_pricing_summary,
-    "top_orders": q_top_orders,
-    "nation_revenue": q_nation_revenue,
-    "join_orders_customers": q_join_orders_customers,
-    "events_window": q_events_window,
-    "top3_per_user": q_top3_per_user,
-    "order_minmax": q_order_minmax,
-    "dedup_exact": q_dedup_exact,
-    "text_stats_by_lang": q_text_stats_by_lang,
-    "source_stats": q_source_stats,
-    "props_extract": q_props_extract,
-    "embed_knn": q_embed_knn,
-    "embed_near_dup": q_embed_near_dup,
-    "sessionize": q_sessionize,
-    "centroid_recentre": q_centroid_recentre,
-    "codelist_resolve": q_codelist,
-    "pip_mesh_bbox": q_pip_mesh_bbox,
-    "distinct_users": q_distinct_users,
-    "knn_points_top3": q_knn_points_top3,
-    "customers_without_orders": q_customers_without_orders,
-    "asof_latest_order": q_asof_latest_order,
-    "running_total": q_running_total,
-    "embed_near_dup_cosine": q_embed_near_dup_cosine,
-    "token_bpeish": q_token_bpeish,
-    "appearance_theme": q_appearance_theme,
-    "appearance_two_phase": q_appearance_two_phase,
-    "vertex_dedup_global": q_vertex_dedup_global,
-    "embed_cosine_top3": q_embed_cosine_top3,
-    "lang_confusion": q_lang_confusion,
-    "quality_filter": q_quality_filter,
-    "range_join_recent": q_range_join_recent,
-    "lag_delta": q_lag_delta,
-    "median_value_per_user": q_median_value_per_user,
-    "mode_event_type": q_mode_event_type,
-    "ngram_jaccard_pairs": q_ngram_jaccard,
-    "dup_clusters": q_dup_clusters,
-    "hopping_window": q_hopping_window,
-    "top_orders_bloom": q_top_orders_bloom,
-    "approx_distinct_events": q_approx_distinct_events,
-    "heavy_users": q_heavy_users,
-    "hash_split": q_hash_split,
-    "pii_redact": q_pii_redact,
-    "top_terms_per_doc": q_top_terms,
-    "doc_repetition": q_doc_repetition,
-    "outlier_events": q_outlier_events,
-    "embed_centroids": q_embed_centroids,
-    "decile_bucket": q_decile_bucket,
-    "stratified_sample": q_stratified_sample,
-    "large_orders": q_large_orders,
-    "promo_revenue": q_promo_revenue,
-    "volume_shipping": q_volume_shipping,
-    "stream_tumbling_windows": q_stream_tumbling,
-    "stream_windowed_late": q_stream_windowed_late,
-    "contamination": q_contamination,
-    "sequence_pack": q_sequence_pack,
-    "corpus_dedup": q_corpus_dedup,
-    "dup_ngram_frac": q_dup_ngram_frac,
-    "bm25_search": q_bm25_search,
-    "pagerank_dupgraph": q_pagerank_dupgraph,
-    "user_value_trend": q_user_value_trend,
-    "triangle_count": q_triangle_count,
-    "user_event_sequence": q_user_event_sequence,
-    "dup_spans": q_dup_spans,
-    "embed_covariance": q_embed_covariance,
-    "embed_pca_project": q_embed_pca_project,
-    "funnel_steps": q_funnel_steps,
-    "cohort_retention": q_cohort_retention,
-    "rollup_revenue": q_rollup_revenue,
-    "salted_join_skew": q_salted_join_skew,
-    "pivot_events": q_pivot_events,
-    "exact_quantiles": q_exact_quantiles,
-    "grouped_quantiles": q_grouped_quantiles,
-    "grouped_mad": q_grouped_mad,
-    "quantiles_cont": q_quantiles_cont,
-    "data_quality_audit": q_data_quality_audit,
-    "pruned_daterange": q_pruned_daterange,
-    "ngram_lm_score": q_ngram_lm_score,
-    "pq_ann_search": q_pq_ann_search,
-    "events_cust_full_outer": q_events_cust_full_outer,
-    "rolling_window_avg": q_rolling_window_avg,
-    "key_set_ops": q_key_set_ops,
-    "bpe_merges": q_bpe_merges,
-    "approx_distinct_by_type": q_approx_distinct_by_type,
-    "source_kl_divergence": q_source_kl_divergence,
-    "source_mixture": q_source_mixture,
-    "ivfpq_ann_search": q_ivfpq_ann_search,
-    "user_travel_distance": q_user_travel_distance,
-    "range_window_sum": q_range_window_sum,
-    "stream_dedup_totals": q_stream_dedup_totals,
-    "dp_simplify_rings": q_dp_simplify_rings,
-    "click_purchase_join": q_click_purchase_join,
-    "cube_revenue": q_cube_revenue,
-    "above_user_avg": q_above_user_avg,
-    "skyline_orders": q_skyline_orders,
-    "inverted_index": q_inverted_index,
-    "latest_event_per_user": q_latest_event_per_user,
-    "scd2_intervals": q_scd2_intervals,
-    "semdedup": q_semdedup,
-    "bpe_encode_stats": q_bpe_encode_stats,
-    "fuzzy_token_join": q_fuzzy_token_join,
-    "late_supplier_blame": q_late_supplier_blame,
-    "global_shuffle_rank": q_global_shuffle_rank,
-    "pattern_triples": q_pattern_triples,
-    "bfs_hops": q_bfs_hops,
-    "ivfpq_index_build": q_ivfpq_index_build,
-    "ivfpq_search_cached": q_ivfpq_search_cached,
-    "ivfpq_index_append": q_ivfpq_index_append,
-    "cheapest_supplier_per_part": q_cheapest_supplier_per_part,
-    "rich_idle_customers": q_rich_idle_customers,
-    "dense_rank_events": q_dense_rank_events,
-    "chunk_documents": q_chunk_documents,
-    "ann_rerank": q_ann_rerank,
-    "stream_session_windows": q_stream_session_windows,
-    "calibration_bins": q_calibration_bins,
-    "tfidf_doc_similarity": q_tfidf_doc_similarity,
-    "ohlc_bars": q_ohlc_bars,
-    "cooccur_event_pairs": q_cooccur_event_pairs,
-    "unpivot_metrics": q_unpivot_metrics,
-    "value_histogram": q_value_histogram,
-    "decayed_user_score": q_decayed_user_score,
-    "sketch_quantiles": q_sketch_quantiles,
-    "convex_hull_types": q_convex_hull_types,
-    "important_parts": q_important_parts,
-    "top_supplier": q_top_supplier,
-    "parts_supplier_counts": q_parts_supplier_counts,
-    "market_share": q_market_share,
-    "grouped_corr": q_grouped_corr,
-    "token_pmi": q_token_pmi,
-    "priority_semijoin_counts": q_priority_semijoin_counts,
-    "mutual_knn_pairs": q_mutual_knn_pairs,
-    "weighted_median": q_weighted_median,
-    "gini_order_values": q_gini_order_values,
-    "tile_neighbor_smooth": q_tile_neighbor_smooth,
-    "ndcg_at_k": q_ndcg_at_k,
-    "compression_ratio": q_compression_ratio,
-    "negative_sampling": q_negative_sampling,
-    "priority_sample": q_priority_sample,
-    "auc_exact": q_auc_exact,
-    "psi_drift": q_psi_drift,
-    "knn_label_accuracy": q_knn_label_accuracy,
-    "revenue_forecast": q_revenue_forecast,
-    "returned_items": q_returned_items,
-    "order_count_distribution": q_order_count_distribution,
-    "small_qty_revenue": q_small_qty_revenue,
-    "disjunctive_revenue": q_disjunctive_revenue,
-    "product_profit": q_product_profit,
-    "shipmode_priority": q_shipmode_priority,
-    "promo_part_suppliers": q_promo_part_suppliers,
-    "pack_sequences": q_pack_sequences,
-    "k_anonymity": q_k_anonymity,
-    "hard_negatives": q_hard_negatives,
-    "seg_intersect_join": q_seg_intersect_join,
-    "dbscan_clusters": q_dbscan_clusters,
-    "mmr_rerank": q_mmr_rerank,
-    "grouped_regression": q_grouped_regression,
-    "snapshot_cdc_diff": q_snapshot_cdc_diff,
-    "ts_ffill_resample": q_ts_ffill_resample,
-    "jsonl_source_stats": q_jsonl_source_stats,
-    "interval_coverage": q_interval_coverage,
-    "tile_pyramid_rollup": q_tile_pyramid_rollup,
-    "snap_to_roads": q_snap_to_roads,
-    "road_corridor_count": q_road_corridor_count,
-    "dwell_segments": q_dwell_segments,
-    "od_matrix": q_od_matrix,
-    "coverage_gap_points": q_coverage_gap_points,
-    "hex_bin_counts": q_hex_bin_counts,
-    "idw_interpolation": q_idw_interpolation,
-    "basket_pairs": q_basket_pairs,
-    "seasonal_profile": q_seasonal_profile,
-    "sssp_weighted": q_sssp_weighted,
-    "track_dtw_pairs": q_track_dtw_pairs,
-    "chi_square_cells": q_chi_square_cells,
-    "user_set_jaccard": q_user_set_jaccard,
-    "frechet_pairs": q_frechet_pairs,
-    "mann_whitney_u": q_mann_whitney_u,
-    "theil_sen_trend": q_theil_sen_trend,
-    "acf_hourly": q_acf_hourly,
-    "hausdorff_pairs": q_hausdorff_pairs,
-    "ks_statistic": q_ks_statistic,
-    "wasserstein_1d": q_wasserstein_1d,
-    "runs_test": q_runs_test,
-    "stl_seasonal": q_stl_seasonal,
-    "local_morans_i": q_local_morans_i,
-    "xcf_hourly": q_xcf_hourly,
-    "location_quotient": q_location_quotient,
-    "ripley_k_pairs": q_ripley_k_pairs,
-    "tukey_outliers": q_tukey_outliers,
-    "simpson_diversity": q_simpson_diversity,
-    "chao1_richness": q_chao1_richness,
-    "hhi_concentration": q_hhi_concentration,
-    "benford_digits": q_benford_digits,
-    "geary_c": q_geary_c,
-    "quadrat_vmr": q_quadrat_vmr,
-    "kendall_tau_daily": q_kendall_tau_daily,
-    "spearman_daily": q_spearman_daily,
-    "t_closeness": q_t_closeness,
-    "yule_k": q_yule_k,
-    "hapax_ratio": q_hapax_ratio,
-    "rendezvous_shards": q_rendezvous_shards,
-    "zorder_layout": q_zorder_layout,
-    "edit_distance_pairs": q_edit_distance_pairs,
-    "vocab_growth": q_vocab_growth,
-    "clustering_coefficient": q_clustering_coefficient,
-    "link_pred_scores": q_link_pred_scores,
-    "ab_test_stats": q_ab_test_stats,
-    "csv_source_stats": q_csv_source_stats,
-    "tile_dissolve_regions": q_tile_dissolve_regions,
-    "transition_matrix": q_transition_matrix,
-    "attribution_credit": q_attribution_credit,
-    "sliding_distinct_users": q_sliding_distinct_users,
-    "target_encoding": q_target_encoding,
-    "heavy_hitters_cms": q_heavy_hitters_cms,
-    "bom_explode": q_bom_explode,
-    "morans_i": q_morans_i,
-    "embed_int8_quantize": q_embed_int8_quantize,
-    "k_core": q_k_core,
-    "getis_ord_hotspots": q_getis_ord_hotspots,
-    "implicit_quadtree": q_implicit_quadtree,
-    "geofence_transitions": q_geofence_transitions,
-    "cusum_changepoint": q_cusum_changepoint,
-    "polygon_rasterize": q_polygon_rasterize,
-    "hmm_map_match": q_hmm_map_match,
-    "quadkey_encode": q_quadkey_encode,
-    "split_candidates": q_split_candidates,
-    "l_diversity": q_l_diversity,
-    "poly_overlap_area": q_poly_overlap_area,
-    "percent_rank_orders": q_percent_rank_orders,
-    "bounce_rate": q_bounce_rate,
-    "areal_interpolation": q_areal_interpolation,
-    "bearing_sectors": q_bearing_sectors,
-    "polygon_compactness": q_polygon_compactness,
-    "seasonal_naive_mase": q_seasonal_naive_mase,
-    "ann_recall_eval": q_ann_recall_eval,
-    "nearest_neighbor_dist": q_nearest_neighbor_dist,
-    "kmv_source_overlap": q_kmv_source_overlap,
-    "knn_dist_k4": q_knn_dist_k4,
-    "lof_outliers": q_lof_outliers,
-}
-
-ORACLES = {
-    "chi_square_cells": _SQL_CHI_SQUARE_CELLS,
-    "user_set_jaccard": _SQL_USER_SET_JACCARD,
-    "mann_whitney_u": _SQL_MANN_WHITNEY_U,
-    "theil_sen_trend": _SQL_THEIL_SEN_TREND,
-    "acf_hourly": _SQL_ACF_HOURLY,
-    "hausdorff_pairs": _SQL_HAUSDORFF_PAIRS,
-    "ks_statistic": _SQL_KS_STATISTIC,
-    "wasserstein_1d": _SQL_WASSERSTEIN_1D,
-    "runs_test": _SQL_RUNS_TEST,
-    "stl_seasonal": _SQL_STL_SEASONAL,
-    "local_morans_i": _sql_local_morans_i(),
-    "xcf_hourly": _SQL_XCF_HOURLY,
-    "location_quotient": _sql_location_quotient(),
-    "ripley_k_pairs": _SQL_RIPLEY_K_PAIRS,
-    "tukey_outliers": _SQL_TUKEY_OUTLIERS,
-    "simpson_diversity": _SQL_SIMPSON_DIVERSITY,
-    "chao1_richness": _SQL_CHAO1_RICHNESS,
-    "hhi_concentration": _sql_hhi_concentration(),
-    "benford_digits": _SQL_BENFORD_DIGITS,
-    "geary_c": _sql_geary_c(),
-    "quadrat_vmr": _sql_quadrat_vmr(),
-    "kendall_tau_daily": _SQL_KENDALL_TAU_DAILY,
-    "spearman_daily": _SQL_SPEARMAN_DAILY,
-    "t_closeness": _SQL_T_CLOSENESS,
-    "yule_k": _SQL_YULE_K,
-    "hapax_ratio": _SQL_HAPAX_RATIO,
-    "rendezvous_shards": _SQL_RENDEZVOUS_SHARDS,
-    "zorder_layout": _sql_zorder_layout(),
-    "edit_distance_pairs": _SQL_EDIT_DISTANCE_PAIRS,
-    "vocab_growth": _SQL_VOCAB_GROWTH,
-    "clustering_coefficient": _SQL_CLUSTERING_COEFFICIENT,
-    "link_pred_scores": _SQL_LINK_PRED_SCORES,
-    "tile_wm_z12": _sql_tile_wm_z12(),
-    "tile_3dt_z7": _sql_tile_3dt_z7(),
-    "pip_mesh": _sql_pip_mesh(),
-    "knn_points": _sql_knn_points(),
-    "knn_points_cellring": _sql_knn_points(),
-    "radius_count_join": _sql_radius_count_join(),
-    "pricing_summary": _SQL_PRICING,
-    "top_orders": _SQL_TOP_ORDERS,
-    "nation_revenue": _SQL_NATION_REVENUE,
-    "join_orders_customers": _SQL_JOIN_ORDERS_CUSTOMERS,
-    "events_window": _SQL_EVENTS_WINDOW,
-    "top3_per_user": _SQL_TOP3_PER_USER,
-    "order_minmax": _SQL_ORDER_MINMAX,
-    "dedup_exact": _SQL_DEDUP_EXACT,
-    "text_stats_by_lang": _SQL_TEXT_STATS,
-    "source_stats": _SQL_SOURCE_STATS,
-    "props_extract": _SQL_PROPS_EXTRACT,
-    "embed_knn": _SQL_EMBED_KNN,
-    "embed_near_dup": _SQL_EMBED_NEAR_DUP,
-    "sessionize": _SQL_SESSIONIZE,
-    "centroid_recentre": _SQL_CENTROID,
-    "codelist_resolve": _SQL_CODELIST,
-    "pip_mesh_bbox": _sql_pip_mesh_bbox(),
-    "distinct_users": _SQL_DISTINCT_USERS,
-    "knn_points_top3": _sql_knn_points_top3(),
-    "customers_without_orders": _SQL_CUSTOMERS_WITHOUT_ORDERS,
-    "asof_latest_order": _SQL_ASOF,
-    "running_total": _SQL_RUNNING_TOTAL,
-    "embed_near_dup_cosine": _SQL_EMBED_COSINE,
-    "token_bpeish": _SQL_TOKEN_BPEISH,
-    "appearance_theme": _SQL_APPEARANCE,
-    "appearance_two_phase": _SQL_APPEARANCE_TWO_PHASE,
-    "vertex_dedup_global": _SQL_VERTEX_DEDUP,
-    "embed_cosine_top3": _SQL_EMBED_COSINE_TOP3,
-    "lang_confusion": _sql_lang_confusion(),
-    "quality_filter": _SQL_QUALITY_FILTER,
-    "range_join_recent": _SQL_RANGE_JOIN,
-    "lag_delta": _SQL_LAG_DELTA,
-    "median_value_per_user": _SQL_MEDIAN,
-    "mode_event_type": _SQL_MODE,
-    "ngram_jaccard_pairs": _SQL_NGRAM_JACCARD,
-    "dup_clusters": _SQL_DUP_CLUSTERS,
-    "hopping_window": _SQL_HOPPING_WINDOW,
-    "top_orders_bloom": _SQL_TOP_ORDERS,
-    "heavy_users": _SQL_HEAVY_USERS,
-    "hash_split": _SQL_HASH_SPLIT,
-    "pii_redact": _SQL_PII_REDACT,
-    "top_terms_per_doc": _SQL_TOP_TERMS,
-    "doc_repetition": _SQL_DOC_REPETITION,
-    "outlier_events": _SQL_OUTLIER_EVENTS,
-    "embed_centroids": _SQL_EMBED_CENTROIDS,
-    "decile_bucket": _SQL_DECILE_BUCKET,
-    "stratified_sample": _SQL_STRATIFIED_SAMPLE,
-    "large_orders": _SQL_LARGE_ORDERS,
-    "promo_revenue": _SQL_PROMO_REVENUE,
-    "volume_shipping": _SQL_VOLUME_SHIPPING,
-    "stream_tumbling_windows": _SQL_STREAM_TUMBLING,
-    "contamination": _SQL_CONTAMINATION,
-    "sequence_pack": _SQL_SEQUENCE_PACK,
-    "corpus_dedup": _SQL_CORPUS_DEDUP,
-    "dup_ngram_frac": _SQL_DUP_NGRAM_FRAC,
-    "bm25_search": _SQL_BM25_SEARCH,
-    "pagerank_dupgraph": _SQL_PAGERANK,
-    "user_value_trend": _SQL_USER_VALUE_TREND,
-    "triangle_count": _SQL_TRIANGLE_COUNT,
-    "user_event_sequence": _SQL_USER_EVENT_SEQUENCE,
-    "dup_spans": _SQL_DUP_SPANS,
-    "embed_covariance": _SQL_EMBED_COVARIANCE,
-    "funnel_steps": _SQL_FUNNEL_STEPS,
-    "cohort_retention": _SQL_COHORT_RETENTION,
-    "rollup_revenue": _SQL_ROLLUP_REVENUE,
-    "salted_join_skew": _SQL_SALTED_JOIN_SKEW,
-    "pivot_events": _SQL_PIVOT_EVENTS,
-    "exact_quantiles": _SQL_EXACT_QUANTILES,
-    "grouped_quantiles": _SQL_GROUPED_QUANTILES,
-    "grouped_mad": _SQL_GROUPED_MAD,
-    "quantiles_cont": _SQL_QUANTILES_CONT,
-    "data_quality_audit": _SQL_DATA_QUALITY_AUDIT,
-    "pruned_daterange": _SQL_PRUNED_DATERANGE,
-    "ngram_lm_score": _SQL_NGRAM_LM_SCORE,
-    "events_cust_full_outer": _SQL_EVENTS_CUST_FULL_OUTER,
-    "rolling_window_avg": _SQL_ROLLING_WINDOW_AVG,
-    "key_set_ops": _SQL_KEY_SET_OPS,
-    "source_kl_divergence": _SQL_SOURCE_KL_DIVERGENCE,
-    "source_mixture": _SQL_SOURCE_MIXTURE,
-    "user_travel_distance": _sql_user_travel_distance(),
-    "range_window_sum": _SQL_RANGE_WINDOW_SUM,
-    "stream_dedup_totals": _SQL_STREAM_DEDUP_TOTALS,
-    "click_purchase_join": _SQL_CLICK_PURCHASE_JOIN,
-    "cube_revenue": _SQL_CUBE_REVENUE,
-    "above_user_avg": _SQL_ABOVE_USER_AVG,
-    "skyline_orders": _SQL_SKYLINE_ORDERS,
-    "inverted_index": _SQL_INVERTED_INDEX,
-    "latest_event_per_user": _SQL_LATEST_EVENT,
-    "scd2_intervals": _SQL_SCD2_INTERVALS,
-    "late_supplier_blame": _SQL_LATE_SUPPLIER_BLAME,
-    "global_shuffle_rank": _SQL_GLOBAL_SHUFFLE_RANK,
-    "pattern_triples": _SQL_PATTERN_TRIPLES,
-    "bfs_hops": _SQL_BFS_HOPS,
-    "cheapest_supplier_per_part": _SQL_CHEAPEST_SUPPLIER,
-    "rich_idle_customers": _SQL_RICH_IDLE,
-    "dense_rank_events": _SQL_DENSE_RANK_EVENTS,
-    "chunk_documents": _SQL_CHUNK_DOCUMENTS,
-    "stream_session_windows": _SQL_SESSIONIZE,
-    "calibration_bins": _SQL_CALIBRATION_BINS,
-    "ohlc_bars": _SQL_OHLC_BARS,
-    "cooccur_event_pairs": _SQL_COOCCUR,
-    "unpivot_metrics": _SQL_UNPIVOT_METRICS,
-    "value_histogram": _SQL_VALUE_HISTOGRAM,
-    "decayed_user_score": _SQL_DECAYED_USER_SCORE,
-    "important_parts": _SQL_IMPORTANT_PARTS,
-    "top_supplier": _SQL_TOP_SUPPLIER,
-    "parts_supplier_counts": _SQL_PARTS_SUPPLIER_COUNTS,
-    "market_share": _SQL_MARKET_SHARE,
-    "grouped_corr": _SQL_GROUPED_CORR,
-    "token_pmi": _SQL_TOKEN_PMI,
-    "priority_semijoin_counts": _SQL_PRIORITY_SEMIJOIN,
-    "mutual_knn_pairs": _SQL_MUTUAL_KNN,
-    "weighted_median": _SQL_WEIGHTED_MEDIAN,
-    "gini_order_values": _SQL_GINI,
-    "tile_neighbor_smooth": _sql_tile_neighbor_smooth(),
-    "ndcg_at_k": _sql_ndcg_at_k(),
-    "negative_sampling": _SQL_NEGATIVE_SAMPLING,
-    "priority_sample": _SQL_PRIORITY_SAMPLE,
-    "auc_exact": _SQL_AUC_EXACT,
-    "psi_drift": _SQL_PSI_DRIFT,
-    "knn_label_accuracy": _SQL_KNN_LABEL_ACCURACY,
-    "revenue_forecast": _SQL_REVENUE_FORECAST,
-    "returned_items": _SQL_RETURNED_ITEMS,
-    "order_count_distribution": _SQL_ORDER_COUNT_DISTRIBUTION,
-    "small_qty_revenue": _SQL_SMALL_QTY_REVENUE,
-    "disjunctive_revenue": _SQL_DISJUNCTIVE_REVENUE,
-    "product_profit": _SQL_PRODUCT_PROFIT,
-    "shipmode_priority": _SQL_SHIPMODE_PRIORITY,
-    "promo_part_suppliers": _SQL_PROMO_PART_SUPPLIERS,
-    "pack_sequences": _SQL_PACK_SEQUENCES,
-    "k_anonymity": _SQL_K_ANONYMITY,
-    "hard_negatives": _SQL_HARD_NEGATIVES,
-    "seg_intersect_join": _SQL_SEG_INTERSECT_JOIN,
-    "grouped_regression": _SQL_GROUPED_REGRESSION,
-    "snapshot_cdc_diff": _SQL_SNAPSHOT_CDC_DIFF,
-    "ts_ffill_resample": _SQL_TS_FFILL_RESAMPLE,
-    "jsonl_source_stats": _SQL_JSONL_SOURCE_STATS,
-    "interval_coverage": _SQL_INTERVAL_COVERAGE,
-    "tile_pyramid_rollup": _SQL_TILE_PYRAMID_ROLLUP,
-    "snap_to_roads": _SQL_SNAP_TO_ROADS,
-    "road_corridor_count": _SQL_ROAD_CORRIDOR_COUNT,
-    "dwell_segments": _SQL_DWELL_SEGMENTS,
-    "od_matrix": _SQL_OD_MATRIX,
-    "coverage_gap_points": _SQL_COVERAGE_GAP,
-    "hex_bin_counts": _SQL_HEX_BIN,
-    "idw_interpolation": _SQL_IDW,
-    "basket_pairs": _SQL_BASKET_PAIRS,
-    "seasonal_profile": _SQL_SEASONAL_PROFILE,
-    "sssp_weighted": _SQL_SSSP_WEIGHTED,
-    "ab_test_stats": _SQL_AB_TEST_STATS,
-    "csv_source_stats": _SQL_CSV_SOURCE_STATS,
-    "tile_dissolve_regions": _SQL_TILE_DISSOLVE_REGIONS,
-    "transition_matrix": _SQL_TRANSITION_MATRIX,
-    "attribution_credit": _SQL_ATTRIBUTION_CREDIT,
-    "sliding_distinct_users": _SQL_SLIDING_DISTINCT_USERS,
-    "target_encoding": _SQL_TARGET_ENCODING,
-    "heavy_hitters_cms": _SQL_HEAVY_HITTERS_CMS,
-    "bom_explode": _SQL_BOM_EXPLODE,
-    "morans_i": _sql_morans_i(),
-    "k_core": _sql_k_core(),
-    "getis_ord_hotspots": _sql_getis_ord(),
-    "implicit_quadtree": _sql_implicit_quadtree(),
-    "geofence_transitions": _sql_geofence_transitions(),
-    "cusum_changepoint": _SQL_CUSUM_CHANGEPOINT,
-    "quadkey_encode": _sql_quadkey_encode(),
-    "split_candidates": _SQL_SPLIT_CANDIDATES,
-    "l_diversity": _SQL_L_DIVERSITY,
-    "percent_rank_orders": _SQL_PERCENT_RANK_ORDERS,
-    "bounce_rate": _SQL_BOUNCE_RATE,
-    "bearing_sectors": _SQL_BEARING_SECTORS,
-    "seasonal_naive_mase": _SQL_SEASONAL_NAIVE_MASE,
-    "nearest_neighbor_dist": _SQL_NEAREST_NEIGHBOR_DIST,
-    "knn_dist_k4": _SQL_KNN_DIST_K4,
-}

@@ -75,6 +75,8 @@ def write_tile_archive(ds, archive_path: str) -> dict:
     at creation), so concurrent pipelines in the same session keep their
     execution semantics (ADVICE r2: don't flip the session-global option).
     """
+    import ray.data
+
     data_path = archive_path + ".data"
     sorted_ds = ds.sort("tile_id")
     sorted_ds.context.execution_options.preserve_order = True
@@ -84,7 +86,12 @@ def write_tile_archive(ds, archive_path: str) -> dict:
             _PayloadAppender,
             fn_constructor_args=(data_path,),
             batch_format="pandas",
-            concurrency=1,
+            # one actor with one block in flight: the pool pipelines several
+            # blocks per actor by default, and those can reach it out of
+            # order even under preserve_order
+            compute=ray.data.ActorPoolStrategy(
+                size=1, max_tasks_in_flight_per_actor=1
+            ),
         )
         .to_pandas()
         .sort_values("offset")

@@ -159,6 +159,13 @@ def ensure_image_table(sf: float, base: str = "/tmp/plateau_ray_data") -> str:
     return path
 
 
+def image_files(path: str) -> list[str]:
+    """The image table's parquet files, in name order."""
+    return [
+        os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")
+    ]
+
+
 def read_images(path: str, columns: list[str] | None = None):
     """Read the image table as a Dataset, pruning columns at the read.
 
@@ -175,9 +182,7 @@ def read_images(path: str, columns: list[str] | None = None):
     stays bounded per block."""
     import ray.data
 
-    paths = [
-        os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")
-    ]
+    paths = image_files(path)
     kwargs = {}
     if columns and "bytes" not in columns:
         try:

@@ -147,159 +147,117 @@ def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.5):
         cand, ["doc_a", "doc_b"], {"n_buckets": (None, "count")}, levels=(8, 1)
     )
 
-    # text delivery to the verify, size-gated: when the doc table's
-    # MEASURED bytes fit the broadcast limit it ships ONCE via ray.put and
-    # a verify ACTOR gram-hashes each doc lazily, caching it for its whole
-    # partition stream (each of the two exchanges the joins paid was
-    # costlier than the entire verify). Past the limit, the two
-    # hash-partitioned Dataset.joins deliver one text per candidate side
-    # (co-partitioned verify — the r1 fix; at 10^12 scale the joins carry
-    # candidates' texts, never the whole corpus).
+    # gram-hash each doc ONCE, distributed, into a packed uint64 blob (a
+    # binary column: Arrow's hash join carries it, a list column it does
+    # not). Size-gated delivery to the verify: when the code table's
+    # MEASURED bytes fit the broadcast limit it ships flattened (ids, flat,
+    # offsets) via one ray.put and each pair side is a gather — zero joins;
+    # past the limit, two hash-partitioned joins attach one blob per
+    # candidate side (at 10^12 scale the joins carry the candidates' codes,
+    # never the whole corpus). Both feed the same verify kernel.
     import ray as _ray
 
     from .joins import DEFAULT_BROADCAST_LIMIT
 
-    docs = read_table(sf_dir, "documents", ["doc_id", "text"]).materialize()
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def gram_codes(batch: pa.Table) -> pa.Table:
         from ..kernels.text import char_ngram_hashes
 
-        ids = batch.column("doc_id").to_numpy().astype(np.int64)
         texts = batch.column("text").to_pylist()
-        codes = [np.unique(char_ngram_hashes(t)) for t in texts]
+        codes = [np.unique(char_ngram_hashes(t)).tobytes() for t in texts]
         return pa.table(
             {
-                "doc_id": pa.array(ids),
-                "grams": pa.array(
-                    [c.tolist() for c in codes], pa.list_(pa.uint64())
-                ),
+                "doc_id": batch.column("doc_id").cast(pa.int64()),
+                "grams": pa.array(codes, pa.binary()),
             }
         )
 
-    # gram-hash each doc ONCE, distributed; when the code table's
-    # MEASURED bytes fit the broadcast limit it ships flattened
-    # (ids, flat, offsets) via one ray.put and verify is pure
-    # searchsorted per pair — zero hashing, zero joins
     codes_ds = docs.map_batches(
         gram_codes, batch_format="pyarrow", batch_size=256
     ).materialize()
     if codes_ds.size_bytes() <= DEFAULT_BROADCAST_LIMIT:
         cp = codes_ds.to_pandas().sort_values("doc_id")
-        lens = np.array([len(g) for g in cp["grams"]], dtype=np.int64)
-        flat = (
-            np.concatenate([np.asarray(g, np.uint64) for g in cp["grams"]])
-            if len(lens)
-            else np.empty(0, np.uint64)
-        )
+        flat, lens = _unpack_grams(cp["grams"])
         ref = _ray.put(
-            (
-                cp["doc_id"].to_numpy().astype(np.int64),
-                flat,
-                np.r_[0, np.cumsum(lens)],
-            )
+            (cp["doc_id"].to_numpy(), flat, np.r_[0, np.cumsum(lens)])
         )
 
         def verify_b(batch: pd.DataFrame) -> pd.DataFrame:
-            """Fully vectorized broadcast-path verify (r4 verdict item #3:
-            no per-pair Python loop in any dedup path): gather BOTH sides'
-            per-doc-unique gram codes tagged with the pair index, one
-            lexsort on (pair, gram), and count adjacent duplicates — a
-            gram in |A∩B| appears exactly twice within its pair. The
-            inter/union integers (and the float division) are identical
-            to the old per-pair searchsorted, so similarities are
-            bit-equal."""
             from ..kernels.segments import segmented_arange
 
             ids_s, flat, offs = _ray.get(ref)  # zero-copy plasma views
             a = batch["doc_a"].to_numpy().astype(np.int64)
             b = batch["doc_b"].to_numpy().astype(np.int64)
-            if not len(a):
-                return pd.DataFrame(
-                    {
-                        "doc_a": pd.array([], dtype="int64"),
-                        "doc_b": pd.array([], dtype="int64"),
-                        "jaccard": pd.array([], dtype="float64"),
-                    }
-                )
-            pa_ = np.searchsorted(ids_s, a)
-            pb_ = np.searchsorted(ids_s, b)
-            la = offs[pa_ + 1] - offs[pa_]
-            lb = offs[pb_ + 1] - offs[pb_]
+            pos_a = np.searchsorted(ids_s, a)
+            pos_b = np.searchsorted(ids_s, b)
+            la = offs[pos_a + 1] - offs[pos_a]
+            lb = offs[pos_b + 1] - offs[pos_b]
 
             def gather(pos, ln):
-                idx = np.repeat(offs[pos], ln) + segmented_arange(ln)
-                return flat[idx]
+                return flat[np.repeat(offs[pos], ln) + segmented_arange(ln)]
 
-            pid = np.concatenate(
-                [np.repeat(np.arange(len(a)), la),
-                 np.repeat(np.arange(len(a)), lb)]
-            )
-            gr = np.concatenate([gather(pa_, la), gather(pb_, lb)])
-            order = np.lexsort((gr, pid))
-            pid_s, gr_s = pid[order], gr[order]
-            dup = (pid_s[1:] == pid_s[:-1]) & (gr_s[1:] == gr_s[:-1])
-            inter = np.bincount(
-                pid_s[1:][dup], minlength=len(a)
-            ).astype(np.int64)
-            union = la + lb - inter
-            sim = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
-            keep = sim >= jaccard_threshold
-            return pd.DataFrame(
-                {
-                    "doc_a": pd.array(a[keep], dtype="int64"),
-                    "doc_b": pd.array(b[keep], dtype="int64"),
-                    "jaccard": pd.array(sim[keep], dtype="float64"),
-                }
+            return _verify_pairs(
+                a, b, gather(pos_a, la), la, gather(pos_b, lb), lb,
+                jaccard_threshold,
             )
 
         return cand.repartition(16).map_batches(
             verify_b, batch_format="pandas"
         )
-    j = cand.join(docs, "inner", num_partitions=16, on=("doc_a",), right_on=("doc_id",))
+    # 4-way like JOIN_PARTS: the aggregator pools of two chained 16-way
+    # joins outgrow a 4-CPU node together and stall
+    j = cand.join(
+        codes_ds, "inner", num_partitions=4, on=("doc_a",), right_on=("doc_id",)
+    )
     j = j.join(
-        docs, "inner", num_partitions=16, on=("doc_b",), right_on=("doc_id",),
+        codes_ds, "inner", num_partitions=4, on=("doc_b",), right_on=("doc_id",),
         right_suffix="_b",
     )
 
-    def verify(batch: pd.DataFrame) -> pd.DataFrame:
-        """Exact-Jaccard verify, doc-hoisted: each DISTINCT doc in the
-        batch is gram-hashed and uniqued ONCE (a doc in m candidate pairs
-        was re-hashed m times), and each pair's intersection is one
-        vectorized sorted-membership pass — the inter/union integers and
-        the final float division are identical to kernels.text.jaccard,
-        so similarities are bit-equal to the per-pair loop."""
-        from ..kernels.text import char_ngram_hashes
-
-        codes: dict[int, np.ndarray] = {}
-        for col_d, col_t in (("doc_a", "text"), ("doc_b", "text_b")):
-            for d, t in zip(batch[col_d], batch[col_t]):
-                if int(d) not in codes:
-                    codes[int(d)] = np.unique(char_ngram_hashes(t))
-        keep_a, keep_b, jac = [], [], []
-        for a, b in zip(batch["doc_a"], batch["doc_b"]):
-            sa, sb = codes[int(a)], codes[int(b)]
-            if len(sa) > len(sb):
-                sa, sb = sb, sa
-            if len(sb):
-                pos = np.minimum(np.searchsorted(sb, sa), len(sb) - 1)
-                inter = int((sb[pos] == sa).sum())
-            else:
-                inter = 0
-            union = len(sa) + len(sb) - inter
-            sim = inter / union if union else 1.0
-            if sim >= jaccard_threshold:
-                keep_a.append(int(a))
-                keep_b.append(int(b))
-                jac.append(sim)
-        return pd.DataFrame(
-            {
-                "doc_a": pd.array(keep_a, dtype="int64"),
-                "doc_b": pd.array(keep_b, dtype="int64"),
-                "jaccard": pd.array(jac, dtype="float64"),
-            }
+    def verify_j(batch: pd.DataFrame) -> pd.DataFrame:
+        ga, la = _unpack_grams(batch["grams"])
+        gb, lb = _unpack_grams(batch["grams_b"])
+        return _verify_pairs(
+            batch["doc_a"].to_numpy().astype(np.int64),
+            batch["doc_b"].to_numpy().astype(np.int64),
+            ga, la, gb, lb, jaccard_threshold,
         )
 
-    return j.map_batches(verify, batch_format="pandas")
+    return j.map_batches(verify_j, batch_format="pandas")
+
+
+def _unpack_grams(blobs) -> tuple[np.ndarray, np.ndarray]:
+    """Packed uint64 gram blobs -> (concatenated codes, per-blob lengths)."""
+    lens = np.fromiter(map(len, blobs), np.int64, len(blobs)) // 8
+    return np.frombuffer(b"".join(blobs), np.uint64), lens
+
+
+def _verify_pairs(a, b, ga, la, gb, lb, threshold: float) -> pd.DataFrame:
+    """Exact Jaccard verify of candidate pairs ``(a[i], b[i])``, fully
+    vectorized: ``ga``/``gb`` hold each side's sorted unique gram codes,
+    concatenated pair by pair with lengths ``la``/``lb``. Every code is
+    tagged with its pair index, one lexsort on (pair, code) runs, and
+    adjacent duplicates are counted — a code in |A∩B| appears exactly
+    twice within its pair. The inter/union integers and the float
+    division equal kernels.text.jaccard's. Keeps pairs at ``>= threshold``."""
+    pair = np.arange(len(a))
+    pid = np.concatenate([np.repeat(pair, la), np.repeat(pair, lb)])
+    gr = np.concatenate([ga, gb])
+    order = np.lexsort((gr, pid))
+    pid_s, gr_s = pid[order], gr[order]
+    dup = (pid_s[1:] == pid_s[:-1]) & (gr_s[1:] == gr_s[:-1])
+    inter = np.bincount(pid_s[1:][dup], minlength=len(a)).astype(np.int64)
+    union = la + lb - inter
+    sim = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
+    keep = sim >= threshold
+    return pd.DataFrame(
+        {
+            "doc_a": pd.array(a[keep], dtype="int64"),
+            "doc_b": pd.array(b[keep], dtype="int64"),
+            "jaccard": pd.array(sim[keep], dtype="float64"),
+        }
+    )
 
 
 def simhash_near_dup(sf_dir: str, max_hamming: int = 8, prefix_bits: int = 12,

@@ -736,18 +736,13 @@ def image_feature_knn(sf: float, n_queries: int = 8, k: int = 3, t: int = 8):
     (the feature stage drops them). The driver-side pre-pass reads ONLY
     the first ``n_queries`` rows of the first file.
     """
-    import os
-
     import ray.data
     import pyarrow.parquet as pq
 
-    from ..sources.images import ensure_image_table
+    from ..sources.images import ensure_image_table, image_files
     from .decode import ImageResize
 
-    path = ensure_image_table(sf)
-    files = [
-        os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")
-    ]
+    files = image_files(ensure_image_table(sf))
 
     resize = ImageResize(t)
 

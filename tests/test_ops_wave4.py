@@ -1,7 +1,7 @@
 """Late-r3 wave: skyline (pareto combiner), inverted index, keep-latest
 dedup, SCD2 intervals, SemDeDup.
 
-The four SQL-expressible ops are driver-gated (oracle in ORACLES); here we
+The four SQL-expressible ops are driver-gated (oracle in oracle_sql()); here we
 pin the parts the driver can't see: the local-prune soundness of the
 skyline combiner, brute-force equality for semdedup, and driver-style
 compares at sf0.001 so a regression fails fast in pytest too.
@@ -19,20 +19,20 @@ SF = "/root/testdata/sf0.001"
 def _oracle_df(name):
     import duckdb
 
-    from plateau_gis_converter_ray.pipelines.queries import ORACLES
+    from __ray_entry__ import oracle_sql
 
     con = duckdb.connect()
     for t in "orders lineitem events documents embeddings".split():
         con.sql(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
         )
-    return con.sql(ORACLES[name]).df()
+    return con.sql(oracle_sql()[name]).df()
 
 
 def _ray_df(name):
-    from plateau_gis_converter_ray.pipelines.queries import QUERIES
+    from __ray_entry__ import queries
 
-    out = QUERIES[name](SF)
+    out = queries()[name](SF)
     if not isinstance(out, pd.DataFrame):
         out = out.to_pandas()
     return out

@@ -816,12 +816,12 @@ def test_caption_city_stats_vs_local(ray_session):
 
     import pyarrow.parquet as pq
 
-    from __ray_entry__ import _q_caption_city_stats
+    from __ray_entry__ import q_caption_city_stats
     from plateau_gis_converter_ray.kernels.imagecodec import decode_image
     from plateau_gis_converter_ray.sources.images import ensure_image_table
 
     got = (
-        _q_caption_city_stats(SF)
+        q_caption_city_stats(SF)
         .to_pandas()
         .sort_values("city")
         .reset_index(drop=True)

@@ -85,3 +85,29 @@ class TestQuadratVmr:
         assert int(out["n_points"][0]) == n
         assert int(out["sum_sq"][0]) == ssq
         assert abs(float(out["vmr"][0]) - vmr) < 1e-9
+
+
+class TestMomentGuard:
+    def test_bound_trips_at_int64(self):
+        import pytest
+
+        from plateau_gis_converter_ray.pipelines.queries import _guard_moments
+
+        _guard_moments("q", (1 << 31) - 1, 1 << 32, 1)  # just below 2^63
+        with pytest.raises(OverflowError, match="q: int64 moments may wrap"):
+            _guard_moments("q", 1 << 31, 1 << 32, 1)
+        with pytest.raises(OverflowError):
+            _guard_moments("q", 1 << 27, 1 << 32, 16)
+
+    def test_queries_raise_instead_of_wrapping(self, ray_session, monkeypatch):
+        import pytest
+
+        from plateau_gis_converter_ray.pipelines import queries
+
+        # a limit below this table's moments stands in for a table whose
+        # moments exceed int64
+        monkeypatch.setattr(queries, "_INT64_MOMENT_LIMIT", 2)
+        with pytest.raises(OverflowError, match="geary_c"):
+            queries.q_geary_c(SF_SMALL)
+        with pytest.raises(OverflowError, match="quadrat_vmr"):
+            queries.q_quadrat_vmr(SF_SMALL)
