@@ -9,7 +9,8 @@ reported alongside. Per-query timings for the registry's representative
 pipelines are under "queries".
 
 Usage:
-  python bench.py              # honours RAY_GRAFT_CPUS (default 32), GRAFT_SF_DIR
+  python bench.py              # honours RAY_GRAFT_CPUS (default: the CPUs this
+                               # process may run on), GRAFT_SF_DIR
   python bench.py --scaling    # N vs 4N cpu legs in fresh processes
                                # (default 1v4 pre-saturation + 8v32
                                # bandwidth diagnostic); prints throughputs
@@ -25,7 +26,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+HOST_CPUS = len(os.sched_getaffinity(0))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", HOST_CPUS))
 REPEAT = int(os.environ.get("GRAFT_BENCH_REPEAT", "4"))
 
 BENCH_QUERIES = [
@@ -386,6 +388,7 @@ def run_bench() -> dict:
         "queries": query_secs,
         "sf": sf,
         "num_cpus": NUM_CPUS,
+        "host_cpus": HOST_CPUS,
         "repeat": REPEAT,
         "assignments": total_assignments,
         "assignments_per_s": round(total_assignments / headline, 1),

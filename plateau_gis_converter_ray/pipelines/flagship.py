@@ -347,6 +347,152 @@ def _muni_material(muni_id: str) -> dict:
     return mat
 
 
+def _write_glb_tile(g, tiles_dir: str):
+    """Write one tile group of the flagship aggregate as z/x/y.glb (see
+    :func:`write_flagship_glb_tiles`) and return its one-row summary."""
+    import pandas as pd
+
+    from ..kernels import scheme3dt
+    from ..kernels.projection import geodetic_to_geocentric, wgs84
+    from ..sinks.glb import MetadataEncoder, tile_glb_bytes
+    from ..sinks.tiles3d import (
+        commit_tile_lineage,
+        dedup_vertex_table,
+        tile_lineage_digest,
+        tile_skip_ok,
+    )
+
+    ellips = wgs84()
+    z = int(g["zoom"].iloc[0])
+    x = int(g["tile_x"].iloc[0])
+    y = int(g["tile_y"].iloc[0])
+    final = os.path.join(tiles_dir, str(z), str(x), f"{y}.glb")
+    digest = tile_lineage_digest(
+        g, ["muni_id", "n_assignments", "lng_min", "lng_max",
+            "lat_min", "lat_max"]
+    )
+    if tile_skip_ok(final, digest):
+        # resume: a prior run wrote this tile atomically AND its input
+        # content digest matches — a changed upstream aggregate
+        # rewrites instead of serving stale bytes (ADVICE r3);
+        # n_materials -1 marks the skip
+        return pd.DataFrame(
+            {"zoom": [z], "tile_x": [x], "tile_y": [y],
+             "n_munis": [len(g)], "n_materials": [-1],
+             "glb_bytes": [os.path.getsize(final)]}
+        )
+    south, north = scheme3dt.y_slice_range(z, y)
+    xs = scheme3dt.x_step(z, np.array([y]))[0]
+    west, east = scheme3dt.x_slice_range(z, x, xs)
+    w = max(float(east - west), 1e-12)
+    h = max(float(north - south), 1e-12)
+
+    # tile-center geocentric translation, z-up -> y-up, f32-rounded
+    # (mod.rs:275-283)
+    tcx, tcy, tcz = geodetic_to_geocentric(
+        ellips, (west + east) / 2.0, (south + north) / 2.0, 0.0
+    )
+    translation = [
+        float(np.float32(tcx)), float(np.float32(tcz)),
+        float(np.float32(-tcy)),
+    ]
+
+    enc = MetadataEncoder(
+        {"Municipality": {"muni_id": "string", "n_assignments": "uint64"}}
+    )
+    n_features = len(g)
+    # Ray hands a group's rows over in no fixed order; numbering features,
+    # vertices and first-seen materials in muni_id order (unique within a
+    # tile) makes the bytes a function of the group's contents alone
+    munis = g["muni_id"].astype(str).to_numpy(dtype=object)
+    order = np.argsort(munis, kind="stable")
+    munis = munis[order]
+    nass = g["n_assignments"].to_numpy().astype(np.int64)[order]
+    # per-feature metadata rows stay a loop (string property table
+    # semantics); all GEOMETRY below is batch-vectorized across the
+    # tile's features — same IEEE expressions per quad, so bytes
+    # match the former per-row assembly
+    fids = np.array(
+        [
+            enc.add_feature(
+                "Municipality",
+                {"muni_id": m, "n_assignments": int(a)},
+            )
+            for m, a in zip(munis, nass)
+        ],
+        dtype=np.float32,
+    )
+    lng0 = g["lng_min"].to_numpy(dtype=np.float64)[order]
+    lng1 = g["lng_max"].to_numpy(dtype=np.float64)[order]
+    lat0 = g["lat_min"].to_numpy(dtype=np.float64)[order]
+    lat1 = g["lat_max"].to_numpy(dtype=np.float64)[order]
+    # quad corners: (lng0,lat1) (lng1,lat1) (lng1,lat0) (lng0,lat0)
+    lngs = np.stack([lng0, lng1, lng1, lng0], axis=1)  # (n, 4)
+    lats = np.stack([lat1, lat1, lat0, lat0], axis=1)
+    gx, gy, gz = geodetic_to_geocentric(
+        ellips, lngs.ravel(), lats.ravel(),
+        np.zeros(4 * n_features),
+    )
+    pos = np.stack(
+        [gx - translation[0], gz - translation[1], -gy - translation[2]],
+        axis=1,
+    ).reshape(n_features, 4, 3)
+    # per-face normal (utils::calculate_normal role)
+    nrm = np.cross(pos[:, 1] - pos[:, 0], pos[:, 2] - pos[:, 0])
+    nl = np.linalg.norm(nrm, axis=1)
+    safe = np.where(nl > 0, nl, 1.0)[:, None]
+    nrm = np.where(
+        (nl > 0)[:, None], nrm / safe, np.array([0.0, 1.0, 0.0])
+    )
+    # tile-local uv with the v flip (mod.rs:347: [u, 1 - v])
+    u = (lngs - west) / w
+    v_flip = 1.0 - (north - lats) / h
+    v9 = np.zeros((n_features, 4, 9), dtype=np.float32)
+    v9[..., :3] = pos
+    v9[..., 3:6] = nrm[:, None, :]
+    v9[..., 6] = u
+    v9[..., 7] = v_flip
+    v9[..., 8] = fids[:, None]
+    allv = v9.reshape(-1, 9)
+    vtable, inverse = (
+        dedup_vertex_table(allv) if len(allv)
+        else (allv, np.empty(0, np.int64))
+    )
+    # materials dedup in FIRST-SEEN order (factorize == the old
+    # insertion-ordered mat_of dict); per-material triangle indices
+    # keep feature order
+    mat_codes, mat_uniq = pd.factorize(pd.Series(munis))
+    materials = [_muni_material(str(m)) for m in mat_uniq]
+    tri = np.array([0, 1, 2, 0, 2, 3], dtype=np.uint32)
+    feat_tri = (
+        (np.arange(n_features, dtype=np.uint32) * 4)[:, None] + tri[None, :]
+    )
+    primitives = [
+        {
+            "indices": inverse[feat_tri[mat_codes == mi].ravel()],
+            "material": int(mi),
+        }
+        for mi in range(len(mat_uniq))
+    ]
+    glb = tile_glb_bytes(
+        vtable, np.empty(0, np.uint32), translation=translation,
+        metadata=enc, num_features=n_features,
+        primitives=primitives, materials=materials,
+    )
+    path_dir = os.path.join(tiles_dir, str(z), str(x))
+    os.makedirs(path_dir, exist_ok=True)
+    tmp = os.path.join(path_dir, f".tmp_{y}.glb")
+    with open(tmp, "wb") as f:
+        f.write(glb)
+    os.replace(tmp, final)
+    commit_tile_lineage(final, digest)
+    return pd.DataFrame(
+        {"zoom": [z], "tile_x": [x], "tile_y": [y],
+         "n_munis": [n_features], "n_materials": [len(materials)],
+         "glb_bytes": [len(glb)]}
+    )
+
+
 def write_flagship_glb_tiles(out_dir: str, tiles_dir: str | None = None):
     """Emit z/x/y.glb tile content for the flagship aggregate.
 
@@ -362,152 +508,11 @@ def write_flagship_glb_tiles(out_dir: str, tiles_dir: str | None = None):
     n_assignments). Runs over the (small) merged aggregate as a grouped
     Dataset write — one file per tile, resumable by existing-file skip.
     """
-    import pandas as pd
-    import ray.data
-
-    from ..kernels import scheme3dt
-    from ..kernels.projection import geodetic_to_geocentric, wgs84
-    from ..sinks.glb import MetadataEncoder, tile_glb_bytes
-    from ..sinks.tiles3d import dedup_vertex_table
-
     tiles_dir = tiles_dir or os.path.join(out_dir, "tiles")
     os.makedirs(tiles_dir, exist_ok=True)
     agg = flagship_result_ds(out_dir)
-    ellips = wgs84()
-
-    def write_tile(g: pd.DataFrame) -> pd.DataFrame:
-        z = int(g["zoom"].iloc[0])
-        x = int(g["tile_x"].iloc[0])
-        y = int(g["tile_y"].iloc[0])
-        final = os.path.join(tiles_dir, str(z), str(x), f"{y}.glb")
-        from ..sinks.tiles3d import (
-            commit_tile_lineage,
-            tile_lineage_digest,
-            tile_skip_ok,
-        )
-
-        digest = tile_lineage_digest(
-            g, ["muni_id", "n_assignments", "lng_min", "lng_max",
-                "lat_min", "lat_max"]
-        )
-        if tile_skip_ok(final, digest):
-            # resume: a prior run wrote this tile atomically AND its input
-            # content digest matches — a changed upstream aggregate
-            # rewrites instead of serving stale bytes (ADVICE r3);
-            # n_materials -1 marks the skip
-            return pd.DataFrame(
-                {"zoom": [z], "tile_x": [x], "tile_y": [y],
-                 "n_munis": [len(g)], "n_materials": [-1],
-                 "glb_bytes": [os.path.getsize(final)]}
-            )
-        south, north = scheme3dt.y_slice_range(z, y)
-        xs = scheme3dt.x_step(z, np.array([y]))[0]
-        west, east = scheme3dt.x_slice_range(z, x, xs)
-        w = max(float(east - west), 1e-12)
-        h = max(float(north - south), 1e-12)
-
-        # tile-center geocentric translation, z-up -> y-up, f32-rounded
-        # (mod.rs:275-283)
-        tcx, tcy, tcz = geodetic_to_geocentric(
-            ellips, (west + east) / 2.0, (south + north) / 2.0, 0.0
-        )
-        translation = [
-            float(np.float32(tcx)), float(np.float32(tcz)),
-            float(np.float32(-tcy)),
-        ]
-
-        enc = MetadataEncoder(
-            {"Municipality": {"muni_id": "string", "n_assignments": "uint64"}}
-        )
-        n_features = len(g)
-        munis = g["muni_id"].astype(str).to_numpy(dtype=object)
-        nass = g["n_assignments"].to_numpy().astype(np.int64)
-        # per-feature metadata rows stay a loop (string property table
-        # semantics); all GEOMETRY below is batch-vectorized across the
-        # tile's features — same IEEE expressions per quad, so bytes
-        # match the former per-row assembly
-        fids = np.array(
-            [
-                enc.add_feature(
-                    "Municipality",
-                    {"muni_id": m, "n_assignments": int(a)},
-                )
-                for m, a in zip(munis, nass)
-            ],
-            dtype=np.float32,
-        )
-        lng0 = g["lng_min"].to_numpy(dtype=np.float64)
-        lng1 = g["lng_max"].to_numpy(dtype=np.float64)
-        lat0 = g["lat_min"].to_numpy(dtype=np.float64)
-        lat1 = g["lat_max"].to_numpy(dtype=np.float64)
-        # quad corners: (lng0,lat1) (lng1,lat1) (lng1,lat0) (lng0,lat0)
-        lngs = np.stack([lng0, lng1, lng1, lng0], axis=1)  # (n, 4)
-        lats = np.stack([lat1, lat1, lat0, lat0], axis=1)
-        gx, gy, gz = geodetic_to_geocentric(
-            ellips, lngs.ravel(), lats.ravel(),
-            np.zeros(4 * n_features),
-        )
-        pos = np.stack(
-            [gx - translation[0], gz - translation[1], -gy - translation[2]],
-            axis=1,
-        ).reshape(n_features, 4, 3)
-        # per-face normal (utils::calculate_normal role)
-        nrm = np.cross(pos[:, 1] - pos[:, 0], pos[:, 2] - pos[:, 0])
-        nl = np.linalg.norm(nrm, axis=1)
-        safe = np.where(nl > 0, nl, 1.0)[:, None]
-        nrm = np.where(
-            (nl > 0)[:, None], nrm / safe, np.array([0.0, 1.0, 0.0])
-        )
-        # tile-local uv with the v flip (mod.rs:347: [u, 1 - v])
-        u = (lngs - west) / w
-        v_flip = 1.0 - (north - lats) / h
-        v9 = np.zeros((n_features, 4, 9), dtype=np.float32)
-        v9[..., :3] = pos
-        v9[..., 3:6] = nrm[:, None, :]
-        v9[..., 6] = u
-        v9[..., 7] = v_flip
-        v9[..., 8] = fids[:, None]
-        allv = v9.reshape(-1, 9)
-        vtable, inverse = (
-            dedup_vertex_table(allv) if len(allv)
-            else (allv, np.empty(0, np.int64))
-        )
-        # materials dedup in FIRST-SEEN order (factorize == the old
-        # insertion-ordered mat_of dict); per-material triangle indices
-        # keep feature order
-        mat_codes, mat_uniq = pd.factorize(pd.Series(munis))
-        materials = [_muni_material(str(m)) for m in mat_uniq]
-        tri = np.array([0, 1, 2, 0, 2, 3], dtype=np.uint32)
-        feat_tri = (
-            (np.arange(n_features, dtype=np.uint32) * 4)[:, None] + tri[None, :]
-        )
-        primitives = [
-            {
-                "indices": inverse[feat_tri[mat_codes == mi].ravel()],
-                "material": int(mi),
-            }
-            for mi in range(len(mat_uniq))
-        ]
-        glb = tile_glb_bytes(
-            vtable, np.empty(0, np.uint32), translation=translation,
-            metadata=enc, num_features=n_features,
-            primitives=primitives, materials=materials,
-        )
-        path_dir = os.path.join(tiles_dir, str(z), str(x))
-        os.makedirs(path_dir, exist_ok=True)
-        tmp = os.path.join(path_dir, f".tmp_{y}.glb")
-        with open(tmp, "wb") as f:
-            f.write(glb)
-        os.replace(tmp, final)
-        commit_tile_lineage(final, digest)
-        return pd.DataFrame(
-            {"zoom": [z], "tile_x": [x], "tile_y": [y],
-             "n_munis": [n_features], "n_materials": [len(materials)],
-             "glb_bytes": [len(glb)]}
-        )
-
     return agg.groupby(["zoom", "tile_x", "tile_y"]).map_groups(
-        write_tile, batch_format="pandas"
+        lambda g: _write_glb_tile(g, tiles_dir), batch_format="pandas"
     )
 
 

@@ -23,7 +23,8 @@ import pyarrow as pa
 
 from ..kernels import scheme3dt
 from ..kernels.hilbert import zxy_to_id
-from ..stages.geocode import GEOCODE_SQL, add_lnglat_arith
+from ..kernels.webmercator import zxy_from_lnglat_webmercator
+from ..stages.geocode import GEOCODE_SQL, add_lnglat_arith, geocode_arith
 from ..stages.spatial_join import mesh_assign_arith
 from ..stages.tiles import assign_webmercator
 
@@ -63,13 +64,140 @@ def _geo_sql(id_expr: str) -> str:
 from ..stages.treeagg import tree_group_agg  # noqa: E402
 
 
+def _event_points(sf_dir: str, cols):
+    """The ``events`` columns ``cols`` plus the arithmetic geocode's
+    ``lng``/``lat`` (``GEOCODE_SQL`` is its SQL twin)."""
+    return _read(sf_dir, "events", cols).map_batches(
+        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
+    )
+
+
+# ---------------------------------------------------------------------------
+# The WebMercator tile lattice (webmercator.rs z/x/y): events reduce ONCE to
+# per-tile counts, and every lattice statistic reads only that reduced table
+# (the GeoBlocks shape: points -> cell lattice, then statistics per cell).
+
+
+def _tile_key(x, y, z: int):
+    """Packed lattice key k = x * 2^z + y of tile (x, y) at zoom ``z``."""
+    return x * (1 << z) + y
+
+
+def _tile_xy(k, z: int):
+    """Inverse of :func:`_tile_key`: k -> (x, y)."""
+    return np.divmod(k, 1 << z)
+
+
+def _tile_counts(sf_dir: str, z: int):
+    """Events -> per-tile counts ``(k, n)`` at WebMercator zoom ``z``, keyed
+    by the int64 :func:`_tile_key`: one fused geocode + tile + pack map, then
+    ONE fact-sized combiner exchange."""
+
+    def key(batch: pa.Table) -> pa.Table:
+        lng, lat = geocode_arith(batch.column("event_id").to_numpy())
+        x, y = zxy_from_lnglat_webmercator(z, lng, lat)
+        return pa.table({"k": pa.array(_tile_key(x, y, z))})
+
+    ds = _read(sf_dir, "events", ["event_id"])
+    return tree_group_agg(
+        ds.map_batches(key, batch_format="pyarrow"), ["k"], {"n": (None, "count")}
+    )
+
+
+# queen neighbourhood: the 8 lattice offsets around a tile
+_DX = np.array([-1, -1, -1, 0, 0, 1, 1, 1], np.int64)
+_DY = np.array([-1, 0, 1, -1, 1, -1, 0, 1], np.int64)
+
+
+def _queen_stencil(counts):
+    """Queen-neighbour sums over the z10 ``_tile_counts`` table, as a
+    scatter-to-neighbours stencil: each occupied tile sends its count to its
+    8 neighbour positions plus one centre row, and ONE combiner sum per
+    position gives every occupied tile its count ``c``, its neighbours'
+    count sum ``s``, their sum of squares ``ss`` and its occupied-neighbour
+    degree ``d``. No self-join, no range join: the stencil exchange is 9x
+    the TILE table, never 9x the facts. One row per occupied tile:
+    (tile_x, tile_y, c, s, ss, d), all int64."""
+
+    def scatter(batch: pa.Table) -> pa.Table:
+        x, y = _tile_xy(batch.column("k").to_numpy(), 10)
+        n = batch.column("n").to_numpy()
+        m = len(n)
+        # the +1 shift keeps edge positions non-negative (an 11-bit
+        # lattice); positions that get no centre row die at the c > 0 filter
+        px = np.concatenate([np.tile(x, 8) + np.repeat(_DX, m), x]) + 1
+        py = np.concatenate([np.tile(y, 8) + np.repeat(_DY, m), y]) + 1
+        nb = np.tile(n, 8)
+        zeros = np.zeros(m, np.int64)
+        return pa.table(
+            {
+                "pk": pa.array(_tile_key(px, py, 11)),
+                "c": pa.array(np.concatenate([np.zeros(8 * m, np.int64), n])),
+                "s": pa.array(np.concatenate([nb, zeros])),
+                "ss": pa.array(np.concatenate([nb * nb, zeros])),
+                "d": pa.array(np.concatenate([np.ones(8 * m, np.int64), zeros])),
+            }
+        )
+
+    def occupied(batch: pa.Table) -> pa.Table:
+        c = batch.column("c").to_numpy()
+        occ = c > 0
+        x, y = _tile_xy(batch.column("pk").to_numpy()[occ], 11)
+        cols = {"tile_x": x - 1, "tile_y": y - 1, "c": c[occ]}
+        for name in ("s", "ss", "d"):
+            cols[name] = batch.column(name).to_numpy()[occ]
+        return pa.table({k: pa.array(v) for k, v in cols.items()})
+
+    sums = tree_group_agg(
+        counts.map_batches(scatter, batch_format="pyarrow"),
+        ["pk"], {v: (v, "sum") for v in ("c", "s", "ss", "d")},
+    )
+    return sums.map_batches(occupied, batch_format="pyarrow")
+
+
+def _tile_moments(tiles, **sums) -> dict:
+    """Global moments of a ``_queen_stencil`` table as exact Python ints:
+    ``nt`` tiles, ``s1`` = sum c, ``s2`` = sum c^2, ``cmax`` = max c, plus
+    one int64 sum per keyword, ``name=fn`` with ``fn(cols)`` mapping the
+    batch's column arrays to per-tile terms."""
+
+    def fold(batch: pa.Table) -> pa.Table:
+        cols = {n: batch.column(n).to_numpy() for n in batch.column_names}
+        c = cols["c"]
+        out = {"g": 0, "nt": len(c), "s1": c.sum(), "s2": (c * c).sum(),
+               "cmax": c.max(initial=0)}
+        out.update({name: fn(cols).sum() for name, fn in sums.items()})
+        return pa.table({k: pa.array([v], pa.int64()) for k, v in out.items()})
+
+    aggs = {v: (v, "sum") for v in ("nt", "s1", "s2", *sums)}
+    aggs["cmax"] = ("cmax", "max")
+    mom = tree_group_agg(
+        tiles.map_batches(fold, batch_format="pyarrow"), ["g"], aggs
+    ).to_pandas()
+    return {v: int(mom[v][0]) for v in aggs}
+
+
+# The tile-lattice moments are int64 sums. Each is at most
+# factor * max(n) * N for the largest tile count max(n), the point count N
+# and a per-query factor, so past this limit they could wrap silently and
+# the query raises instead.
+_INT64_MOMENT_LIMIT = 1 << 63
+
+
+def _guard_moments(query: str, n_max: int, n_total: int, factor: int) -> None:
+    if factor * n_max * n_total >= _INT64_MOMENT_LIMIT:
+        raise OverflowError(
+            f"{query}: int64 moments may wrap (largest tile count {n_max}, "
+            f"{n_total} points); split them into hi/lo words first"
+        )
+
+
 # ---------------------------------------------------------------------------
 # 1. WebMercator square-scheme tiling (MVT path: mvt/slice.rs:48-52 + tile xy)
 
 
 def q_tile_wm_z12(sf_dir: str):
-    ds = _read(sf_dir, "events", ["event_id"])
-    ds = ds.map_batches(lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow")
+    ds = _event_points(sf_dir, ["event_id"])
     ds = ds.map_batches(lambda b: assign_webmercator(b, 12), batch_format="pyarrow")
     ds = ds.select_columns(["tile_x", "tile_y"])
     return tree_group_agg(ds, ["tile_x", "tile_y"], {"n": (None, "count")})
@@ -96,8 +224,7 @@ _SQL_TILE_WM_Z12 = _sql_tile_wm_z12()
 
 
 def q_tile_3dt_z7(sf_dir: str):
-    ds = _read(sf_dir, "events", ["event_id"])
-    ds = ds.map_batches(lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow")
+    ds = _event_points(sf_dir, ["event_id"])
 
     def assign(batch: pa.Table) -> pa.Table:
         lng = batch.column("lng").to_numpy()
@@ -140,8 +267,7 @@ _SQL_TILE_3DT_Z7 = _sql_tile_3dt_z7()
 
 
 def q_pip_mesh(sf_dir: str):
-    ds = _read(sf_dir, "events", ["event_id", "value"])
-    ds = ds.map_batches(lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow")
+    ds = _event_points(sf_dir, ["event_id", "value"])
     ds = ds.map_batches(mesh_assign_arith, batch_format="pyarrow")
 
     def to_cents(batch: pa.Table) -> pa.Table:
@@ -226,15 +352,11 @@ _SQL_KNN_POINTS_CELLRING = _SQL_KNN_POINTS
 
 
 def q_radius_count_join(sf_dir: str, n_queries: int = 16, r2: float = 4.0):
-    from ..stages.geocode import add_lnglat_arith
-
     qids = np.arange(n_queries, dtype=np.int64)
     qx = 122.0 + (qids * 17) % 24
     qy = 24.0 + (qids * 13) % 22
 
-    ds = _read(sf_dir, "events", ["event_id"]).map_batches(
-        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
-    )
+    ds = _event_points(sf_dir, ["event_id"])
 
     def partial(batch: pa.Table) -> pa.Table:
         lng = batch.column("lng").to_numpy()
@@ -990,8 +1112,7 @@ FROM documents GROUP BY 1
 
 
 def q_pip_mesh_bbox(sf_dir: str):
-    ds = _read(sf_dir, "events", ["event_id"])
-    ds = ds.map_batches(lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow")
+    ds = _event_points(sf_dir, ["event_id"])
     ds = ds.map_batches(mesh_assign_arith, batch_format="pyarrow")
     from ray.data.aggregate import Count, Max, Min
 
@@ -1047,8 +1168,7 @@ _SQL_DISTINCT_USERS = "SELECT DISTINCT user_id FROM events"
 
 
 def q_knn_points_top3(sf_dir: str):
-    ds = _read(sf_dir, "events", ["event_id"])
-    ds = ds.map_batches(lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow")
+    ds = _event_points(sf_dir, ["event_id"])
     qids = np.arange(16, dtype=np.int64)
     qx = 122.0 + (qids * 17) % 24
     qy = 24.0 + (qids * 13) % 22
@@ -5818,10 +5938,9 @@ def q_ivfpq_index_append(sf_dir: str, nprobe: int = 4):
 def q_user_travel_distance(sf_dir: str):
     from ..stages.treeagg import clean_arrow
 
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
+    ev = _event_points(sf_dir, ["event_id", "user_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        batch = add_lnglat_arith(batch, "event_id")
         return pa.table(
             {
                 "user_id": batch.column("user_id"),
@@ -10119,74 +10238,25 @@ FROM r WHERE rn = 1
 
 
 def q_tile_neighbor_smooth(sf_dir: str):
-    """Per-tile event density smoothed over the 3x3 tile neighborhood.
-    Stage 1 reduces events to per-tile counts (the only fact-sized
-    exchange, combiner tree). Stage 2 is scatter-to-neighbors: each tile
-    emits 9 (neighbor-position, c_self, c_sm) rows and ONE second
-    combiner-tree sum realizes every 3x3 window — no self-join, no range
-    join; the stencil exchange is 9x the already-reduced TILE table, never
-    9x the facts. Positions that are not themselves occupied tiles drop at
-    the c_self>0 filter, matching the SQL inner self-join semantics."""
-    ds = _read(sf_dir, "events", ["event_id"])
-    ds = ds.map_batches(
-        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
-    )
-    ds = ds.map_batches(lambda b: assign_webmercator(b, 10), batch_format="pyarrow")
+    """Per-tile event density smoothed over the 3x3 tile neighborhood:
+    the tile's own count plus its 8 neighbours' (``_queen_stencil``).
+    Neighbour positions that are not themselves occupied tiles drop out,
+    matching the SQL inner self-join semantics."""
 
-    def pack(batch: pa.Table) -> pa.Table:
-        x = batch.column("tile_x").to_numpy()
-        y = batch.column("tile_y").to_numpy()
-        return pa.table({"k": pa.array(x * 1024 + y)})
-
-    counts = tree_group_agg(
-        ds.map_batches(pack, batch_format="pyarrow"),
-        ["k"], {"n": (None, "count")},
-    )
-
-    _DX = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1], np.int64)
-    _DY = np.array([-1, 0, 1, -1, 0, 1, -1, 0, 1], np.int64)
-
-    def scatter(batch: pa.Table) -> pa.Table:
-        k = batch.column("k").to_numpy()
-        n = batch.column("n").to_numpy()
-        x, y = k // 1024, k % 1024
-        m = len(k)
-        dx = np.repeat(_DX, m)
-        dy = np.repeat(_DY, m)
-        # +1 shift keeps x=0/y=0 edge positions non-negative; out-of-grid
-        # positions never coincide with a real tile and die at the filter
-        px = np.tile(x, 9) + dx + 1
-        py = np.tile(y, 9) + dy + 1
-        nc = np.tile(n, 9)
-        center = (dx == 0) & (dy == 0)
+    def smooth(batch: pa.Table) -> pa.Table:
+        c = batch.column("c").to_numpy()
         return pa.table(
             {
-                "pk": pa.array(px * 2048 + py),
-                "c_self": pa.array(np.where(center, nc, 0)),
-                "c_sm": pa.array(nc),
+                "tile_x": batch.column("tile_x"),
+                "tile_y": batch.column("tile_y"),
+                "n": pa.array(c),
+                "smooth_n": pa.array(c + batch.column("s").to_numpy()),
             }
         )
 
-    sm = tree_group_agg(
-        counts.map_batches(scatter, batch_format="pyarrow"),
-        ["pk"], {"n": ("c_self", "sum"), "smooth_n": ("c_sm", "sum")},
+    return _queen_stencil(_tile_counts(sf_dir, 10)).map_batches(
+        smooth, batch_format="pyarrow"
     )
-
-    def finish(batch: pa.Table) -> pa.Table:
-        pk = batch.column("pk").to_numpy()
-        n = batch.column("n").to_numpy()
-        keep = n > 0
-        pk = pk[keep]
-        return pa.table(
-            {
-                "tile_x": pa.array(pk // 2048 - 1),
-                "tile_y": pa.array(pk % 2048 - 1),
-                "n": pa.array(n[keep]),
-                "smooth_n": batch.column("smooth_n").filter(pa.array(keep)),
-            }
-        )
-
-    return sm.map_batches(finish, batch_format="pyarrow")
 
 
 def q_compression_ratio(sf_dir: str):
@@ -10708,21 +10778,9 @@ def q_tile_pyramid_rollup(sf_dir: str):
     zooms never rescan the facts. The raster-pyramid / tileset-LOD rollup
     every map pipeline runs (tileset.json geometric-error levels,
     sinks/tileset.py)."""
-    ds = _read(sf_dir, "events", ["event_id"])
-    ds = ds.map_batches(
-        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
-    )
-    ds = ds.map_batches(
-        lambda b: assign_webmercator(b, 12), batch_format="pyarrow"
-    )
-    z12 = tree_group_agg(
-        ds.select_columns(["tile_x", "tile_y"]),
-        ["tile_x", "tile_y"], {"n": (None, "count")},
-    )
 
     def explode(batch: pa.Table) -> pa.Table:
-        x = batch.column("tile_x").to_numpy()
-        y = batch.column("tile_y").to_numpy()
+        x, y = _tile_xy(batch.column("k").to_numpy(), 12)
         n = batch.column("n").to_numpy()
         ks = np.arange(5, dtype=np.int64)
         rep = np.repeat(np.arange(len(x)), 5)
@@ -10737,7 +10795,7 @@ def q_tile_pyramid_rollup(sf_dir: str):
         )
 
     return tree_group_agg(
-        z12.map_batches(explode, batch_format="pyarrow"),
+        _tile_counts(sf_dir, 12).map_batches(explode, batch_format="pyarrow"),
         ["z", "x", "y"], {"n": ("n", "sum")},
     )
 
@@ -12021,98 +12079,29 @@ def q_morans_i(sf_dir: str):
     (8-neighbor queen weights, w_ij = 1) — the hotspot diagnostic a
     geospatial curation pipeline runs before density-balanced sampling.
 
-    Plan: stage 1 reduces events to per-tile counts (the only fact-sized
-    exchange, combiner tree). Stage 2 is the scatter-to-neighbors stencil
-    from ``tile_neighbor_smooth`` — each REDUCED tile emits its count to
-    its 8 neighbor positions plus a center marker; one combiner sum per
-    position yields, for every occupied tile p, its count x_p, its
-    neighbor-count sum s_p and its occupied-neighbor degree d_p. No
-    self-join, no range join; the stencil exchange is 9x the tile table,
-    never 9x the facts. Every Moran moment is then an exact integer sum
-    (N, S1 = sum x, S2 = sum x^2, A = sum x_p*s_p, B = 2*sum d_p*x_p,
-    W = sum d_p), assembled on the driver with arbitrary-precision Python
-    ints, so the single final double division
+    Plan: the facts reduce once to per-tile counts, then the
+    ``_queen_stencil`` gives every occupied tile p its count x_p, its
+    neighbor-count sum s_p and its occupied-neighbor degree d_p. Every
+    Moran moment is then an exact integer sum (N, S1 = sum x, S2 = sum x^2,
+    A = sum x_p*s_p, B = 2*sum d_p*x_p, W = sum d_p), assembled on the
+    driver with arbitrary-precision Python ints, so the single final double
+    division
 
         I = (A*N^2 - S1*N*B + S1^2*W) / (W * (S2*N - S1^2))
 
     is the one mirrored expression and distributed == SQL bit-for-bit
-    (the DuckDB side keeps the sums HUGEINT). At 10^12 rows the int64
-    per-batch partials need the 128-bit split; the driver assembly
-    already is arbitrary-precision."""
-    ds = _read(sf_dir, "events", ["event_id"])
-    ds = ds.map_batches(
-        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
+    (the DuckDB side keeps the sums HUGEINT). The int64 per-batch partials
+    raise past the ``_guard_moments`` bound."""
+    mom = _tile_moments(
+        _queen_stencil(_tile_counts(sf_dir, 10)),
+        a=lambda t: t["c"] * t["s"],
+        dx2=lambda t: 2 * t["d"] * t["c"],
+        w=lambda t: t["d"],
     )
-    ds = ds.map_batches(lambda b: assign_webmercator(b, 10), batch_format="pyarrow")
-
-    def pack(batch: pa.Table) -> pa.Table:
-        x = batch.column("tile_x").to_numpy()
-        y = batch.column("tile_y").to_numpy()
-        return pa.table({"k": pa.array(x * 1024 + y)})
-
-    counts = tree_group_agg(
-        ds.map_batches(pack, batch_format="pyarrow"),
-        ["k"], {"n": (None, "count")},
-    )
-
-    _DX = np.array([-1, -1, -1, 0, 0, 1, 1, 1], np.int64)
-    _DY = np.array([-1, 0, 1, -1, 1, -1, 0, 1], np.int64)
-
-    def scatter(batch: pa.Table) -> pa.Table:
-        k = batch.column("k").to_numpy()
-        n = batch.column("n").to_numpy()
-        x, y = k // 1024, k % 1024
-        m = len(k)
-        # 8 neighbor emissions (s, d) + 1 center emission (c); +1 shift
-        # keeps edge positions non-negative, phantom positions never meet
-        # a center row and die at the c > 0 filter
-        px = np.concatenate([np.tile(x, 8) + np.repeat(_DX, m), x]) + 1
-        py = np.concatenate([np.tile(y, 8) + np.repeat(_DY, m), y]) + 1
-        zeros = np.zeros(m, np.int64)
-        return pa.table(
-            {
-                "pk": pa.array(px * 2048 + py),
-                "c": pa.array(np.concatenate([np.zeros(8 * m, np.int64), n])),
-                "s": pa.array(np.concatenate([np.tile(n, 8), zeros])),
-                "d": pa.array(
-                    np.concatenate([np.ones(8 * m, np.int64), zeros])
-                ),
-            }
-        )
-
-    tiles = tree_group_agg(
-        counts.map_batches(scatter, batch_format="pyarrow"),
-        ["pk"], {"c": ("c", "sum"), "s": ("s", "sum"), "d": ("d", "sum")},
-    )
-
-    def moments(batch: pa.Table) -> pa.Table:
-        c = batch.column("c").to_numpy()
-        s = batch.column("s").to_numpy()
-        d = batch.column("d").to_numpy()
-        occ = c > 0
-        c, s, d = c[occ], s[occ], d[occ]
-        return pa.table(
-            {
-                "g": pa.array([0]),
-                "nt": pa.array([np.int64(occ.sum())]),
-                "s1": pa.array([c.sum()]),
-                "s2": pa.array([(c * c).sum()]),
-                "a": pa.array([(c * s).sum()]),
-                "dx2": pa.array([2 * (d * c).sum()]),
-                "w": pa.array([d.sum()]),
-            }
-        )
-
-    mom = tree_group_agg(
-        tiles.map_batches(moments, batch_format="pyarrow"),
-        ["g"],
-        {
-            "nt": ("nt", "sum"), "s1": ("s1", "sum"), "s2": ("s2", "sum"),
-            "a": ("a", "sum"), "dx2": ("dx2", "sum"), "w": ("w", "sum"),
-        },
-    ).to_pandas()
-    nt, s1, s2 = int(mom["nt"][0]), int(mom["s1"][0]), int(mom["s2"][0])
-    a, b, w = int(mom["a"][0]), int(mom["dx2"][0]), int(mom["w"][0])
+    # sum c·s <= 8·max(n)·N and 2·sum d·c <= 16·N: both under 16·max(n)·N
+    _guard_moments("morans_i", mom["cmax"], mom["s1"], 16)
+    nt, s1, s2 = mom["nt"], mom["s1"], mom["s2"]
+    a, b, w = mom["a"], mom["dx2"], mom["w"]
     num = a * nt * nt - s1 * nt * b + s1 * s1 * w
     den = w * (s2 * nt - s1 * s1)
     return pd.DataFrame(
@@ -12273,85 +12262,23 @@ _SQL_K_CORE = _sql_k_core()
 def q_getis_ord_hotspots(sf_dir: str):
     """Getis-Ord Gi* hotspot z-scores per occupied z10 tile — the LOCAL
     sibling of ``morans_i``: which tiles sit in statistically hot (or
-    cold) 3x3 neighborhoods. Same scatter-to-neighbors plan, but the
-    stencil INCLUDES the center (Gi*), so one combiner yields each
-    occupied tile's 9-cell sum s9 and occupied-cell count m directly;
-    the global moments (n, S1, S2) come from the same reduced table.
-    All inputs to the z-score are exact integers; the z expression is
-    evaluated in ONE mirrored float order on both sides (IEEE division
-    and sqrt are correctly rounded, so distributed == SQL bit-for-bit,
-    the grouped_corr precedent)."""
-    ds = _read(sf_dir, "events", ["event_id"])
-    ds = ds.map_batches(
-        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
-    )
-    ds = ds.map_batches(lambda b: assign_webmercator(b, 10), batch_format="pyarrow")
-
-    def pack(batch: pa.Table) -> pa.Table:
-        x = batch.column("tile_x").to_numpy()
-        y = batch.column("tile_y").to_numpy()
-        return pa.table({"k": pa.array(x * 1024 + y)})
-
-    counts = tree_group_agg(
-        ds.map_batches(pack, batch_format="pyarrow"),
-        ["k"], {"n": (None, "count")},
-    )
-
-    _DX9 = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1], np.int64)
-    _DY9 = np.array([-1, 0, 1, -1, 0, 1, -1, 0, 1], np.int64)
-
-    def scatter(batch: pa.Table) -> pa.Table:
-        kk = batch.column("k").to_numpy()
-        n = batch.column("n").to_numpy()
-        x, y = kk // 1024, kk % 1024
-        m = len(kk)
-        center = (_DX9 == 0) & (_DY9 == 0)
-        px = np.tile(x, 9) + np.repeat(_DX9, m) + 1
-        py = np.tile(y, 9) + np.repeat(_DY9, m) + 1
-        return pa.table(
-            {
-                "pk": pa.array(px * 2048 + py),
-                "c": pa.array(
-                    np.where(np.repeat(center, m), np.tile(n, 9), 0)
-                ),
-                "s9": pa.array(np.tile(n, 9)),
-                "m": pa.array(np.ones(9 * m, np.int64)),
-            }
-        )
-
-    tiles = tree_group_agg(
-        counts.map_batches(scatter, batch_format="pyarrow"),
-        ["pk"], {"c": ("c", "sum"), "s9": ("s9", "sum"), "m": ("m", "sum")},
-    ).materialize()
-
-    def moments(batch: pa.Table) -> pa.Table:
-        c = batch.column("c").to_numpy()
-        occ = c > 0
-        c = c[occ]
-        return pa.table(
-            {
-                "g": pa.array([0]),
-                "nt": pa.array([np.int64(occ.sum())]),
-                "s1": pa.array([c.sum()]),
-                "s2": pa.array([(c * c).sum()]),
-            }
-        )
-
-    mom = tree_group_agg(
-        tiles.map_batches(moments, batch_format="pyarrow"),
-        ["g"],
-        {"nt": ("nt", "sum"), "s1": ("s1", "sum"), "s2": ("s2", "sum")},
-    ).to_pandas()
-    nn = float(mom["nt"][0])
-    s1 = float(mom["s1"][0])
-    s2 = float(mom["s2"][0])
+    cold) 3x3 neighborhoods. Gi* INCLUDES the center, so from the
+    ``_queen_stencil`` row each occupied tile's 9-cell sum is s9 = c + s and
+    its occupied-cell count is m = d + 1; the global moments (n, S1, S2)
+    come from the same reduced table. All inputs to the z-score are exact
+    integers; the z expression is evaluated in ONE mirrored float order on
+    both sides (IEEE division and sqrt are correctly rounded, so
+    distributed == SQL bit-for-bit, the grouped_corr precedent)."""
+    tiles = _queen_stencil(_tile_counts(sf_dir, 10)).materialize()
+    mom = _tile_moments(tiles)
+    # the largest int64 moment is S2 = sum n^2 <= max(n)·N
+    _guard_moments("getis_ord_hotspots", mom["cmax"], mom["s1"], 1)
+    nn, s1, s2 = float(mom["nt"]), float(mom["s1"]), float(mom["s2"])
 
     def zscore(batch: pa.Table) -> pa.Table:
         c = batch.column("c").to_numpy()
-        occ = c > 0
-        pk = batch.column("pk").to_numpy()[occ]
-        s9 = batch.column("s9").to_numpy()[occ].astype(np.float64)
-        m = batch.column("m").to_numpy()[occ].astype(np.float64)
+        s9 = (c + batch.column("s").to_numpy()).astype(np.float64)
+        m = (batch.column("d").to_numpy() + 1).astype(np.float64)
         # EXACT expression mirror of the SQL twin — one op order
         xb = s1 / nn
         gi = (s9 - xb * m) / (
@@ -12360,9 +12287,9 @@ def q_getis_ord_hotspots(sf_dir: str):
         )
         return pa.table(
             {
-                "tile_x": pa.array(pk // 2048 - 1),
-                "tile_y": pa.array(pk % 2048 - 1),
-                "n": pa.array(c[occ]),
+                "tile_x": batch.column("tile_x"),
+                "tile_y": batch.column("tile_y"),
+                "n": pa.array(c),
                 "gi_z": pa.array(gi),
             }
         )
@@ -12416,34 +12343,19 @@ def q_implicit_quadtree(sf_dir: str):
     pytest (SQL can't see bytes)."""
     from ..sinks.implicit import implicit_subtrees
 
-    ds = _read(sf_dir, "events", ["event_id"])
-    ds = ds.map_batches(
-        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
-    )
-    ds = ds.map_batches(lambda b: assign_webmercator(b, 11), batch_format="pyarrow")
-
-    def pack(batch: pa.Table) -> pa.Table:
-        x = batch.column("tile_x").to_numpy()
-        y = batch.column("tile_y").to_numpy()
-        return pa.table({"k": pa.array(x * 2048 + y)})
-
-    occupied = tree_group_agg(
-        ds.map_batches(pack, batch_format="pyarrow"),
-        ["k"], {"n": (None, "count")},
-    )
-
     def unpack(batch: pa.Table) -> pa.Table:
-        k = batch.column("k").to_numpy()
+        x, y = _tile_xy(batch.column("k").to_numpy(), 11)
         return pa.table(
             {
-                "z": pa.array(np.full(len(k), 11, np.int64)),
-                "x": pa.array(k // 2048),
-                "y": pa.array(k % 2048),
+                "z": pa.array(np.full(len(x), 11, np.int64)),
+                "x": pa.array(x),
+                "y": pa.array(y),
             }
         )
 
     subs = implicit_subtrees(
-        occupied.map_batches(unpack, batch_format="pyarrow"), subtree_levels=4
+        _tile_counts(sf_dir, 11).map_batches(unpack, batch_format="pyarrow"),
+        subtree_levels=4,
     )
 
     def stats(batch: pa.Table) -> pa.Table:
@@ -12513,10 +12425,9 @@ def q_geofence_transitions(sf_dir: str):
     bit-for-bit."""
     from ..stages.treeagg import clean_arrow
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
+    ds = _event_points(sf_dir, ["event_id", "user_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        batch = add_lnglat_arith(batch, "event_id")
         lng = batch.column("lng").to_numpy()
         lat = batch.column("lat").to_numpy()
         r = np.zeros(len(lng), np.int64)
@@ -12828,32 +12739,17 @@ def q_quadkey_encode(sf_dir: str):
     (mirrored verbatim in the SQL twin); the string materializes via one
     contiguous (n, 12) byte-matrix view — no per-row Python. One tiny
     (quadkey) combiner finishes."""
-    ds = _read(sf_dir, "events", ["event_id"])
-    ds = ds.map_batches(
-        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
-    )
-    ds = ds.map_batches(lambda b: assign_webmercator(b, 12), batch_format="pyarrow")
-
-    def pack(batch: pa.Table) -> pa.Table:
-        x = batch.column("tile_x").to_numpy().astype(np.int64)
-        y = batch.column("tile_y").to_numpy().astype(np.int64)
-        return pa.table({"k": pa.array(x * 4096 + y)})
-
-    # combine on the packed int64 tile key (strings would widen every
-    # exchange 12x); render the quadkey once per DISTINCT tile after
-    reduced = tree_group_agg(
-        ds.map_batches(pack, batch_format="pyarrow"),
-        ["k"], {"n": (None, "count")},
-    )
 
     def render(batch: pa.Table) -> pa.Table:
         from ..kernels.webmercator import quadkey_strings
 
-        k = batch.column("k").to_numpy()
-        s = quadkey_strings(k // 4096, k % 4096, 12)
+        x, y = _tile_xy(batch.column("k").to_numpy(), 12)
+        s = quadkey_strings(x, y, 12)
         return pa.table({"quadkey": pa.array(s), "n": batch.column("n")})
 
-    return reduced.map_batches(render, batch_format="pyarrow")
+    # combine on the packed int64 tile key (strings would widen every
+    # exchange 12x); render the quadkey once per DISTINCT tile after
+    return _tile_counts(sf_dir, 12).map_batches(render, batch_format="pyarrow")
 
 
 def _sql_quadkey_encode() -> str:
@@ -13361,10 +13257,7 @@ def q_areal_interpolation(sf_dir: str):
 
     wtab = pids.map_batches(weights, batch_format="pyarrow").to_pandas()
 
-    ev = _read(sf_dir, "events", ["event_id"])
-    ev = ev.map_batches(
-        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
-    )
+    ev = _event_points(sf_dir, ["event_id"])
     ev = ev.map_batches(mesh_assign_arith, batch_format="pyarrow")
     counts = tree_group_agg(
         ev.select_columns(["mesh_id"]), ["mesh_id"], {"n": (None, "count")}
@@ -14865,79 +14758,20 @@ def q_local_morans_i(sf_dir: str):
     """LOCAL Moran's I (LISA) for every occupied z10 tile — the per-tile
     hotspot/coldspot classification that complements the global
     ``morans_i``. Same two-stage plan: per-tile counts (one fact-sized
-    combiner exchange), then the 8-neighbor scatter stencil (9x the TILE
-    table, never the facts) yields each tile's count c, occupied-neighbor
-    sum s and degree d. With exact integers z_p = nt*c_p - s1 and
+    combiner exchange), then the ``_queen_stencil`` (9x the TILE table,
+    never the facts) yields each tile's count c, occupied-neighbor sum s
+    and degree d. With exact integers z_p = nt*c_p - s1 and
     lag_p = nt*s_p - d_p*s1, the output per tile is the integer numerator
     li_num = z_p * lag_p plus li = (li_num * nt) / den as the ONE
     fixed-order float expression (den = nt^2*s2 - nt*s1^2, global).
     Globals fold via a second tiny tree agg; per-tile emission is a
     streaming map with broadcast scalars — nothing driver-sized but the
-    3-row moment table."""
-    ds = _read(sf_dir, "events", ["event_id"])
-    ds = ds.map_batches(
-        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
-    )
-    ds = ds.map_batches(
-        lambda b: assign_webmercator(b, 10), batch_format="pyarrow"
-    )
-
-    def pack(batch: pa.Table) -> pa.Table:
-        x = batch.column("tile_x").to_numpy()
-        y = batch.column("tile_y").to_numpy()
-        return pa.table({"k": pa.array(x * 1024 + y)})
-
-    counts = tree_group_agg(
-        ds.map_batches(pack, batch_format="pyarrow"),
-        ["k"], {"n": (None, "count")},
-    )
-
-    _DX = np.array([-1, -1, -1, 0, 0, 1, 1, 1], np.int64)
-    _DY = np.array([-1, 0, 1, -1, 1, -1, 0, 1], np.int64)
-
-    def scatter(batch: pa.Table) -> pa.Table:
-        k = batch.column("k").to_numpy()
-        n = batch.column("n").to_numpy()
-        x, y = k // 1024, k % 1024
-        m = len(k)
-        px = np.concatenate([np.tile(x, 8) + np.repeat(_DX, m), x]) + 1
-        py = np.concatenate([np.tile(y, 8) + np.repeat(_DY, m), y]) + 1
-        zeros = np.zeros(m, np.int64)
-        return pa.table(
-            {
-                "pk": pa.array(px * 2048 + py),
-                "c": pa.array(np.concatenate([np.zeros(8 * m, np.int64), n])),
-                "s": pa.array(np.concatenate([np.tile(n, 8), zeros])),
-                "d": pa.array(
-                    np.concatenate([np.ones(8 * m, np.int64), zeros])
-                ),
-            }
-        )
-
-    tiles = tree_group_agg(
-        counts.map_batches(scatter, batch_format="pyarrow"),
-        ["pk"], {"c": ("c", "sum"), "s": ("s", "sum"), "d": ("d", "sum")},
-    )
-
-    def moments(batch: pa.Table) -> pa.Table:
-        c = batch.column("c").to_numpy()
-        occ = c > 0
-        c = c[occ]
-        return pa.table(
-            {
-                "g": pa.array([0]),
-                "nt": pa.array([np.int64(occ.sum())]),
-                "s1": pa.array([c.sum()]),
-                "s2": pa.array([(c * c).sum()]),
-            }
-        )
-
-    mom = tree_group_agg(
-        tiles.map_batches(moments, batch_format="pyarrow"),
-        ["g"],
-        {"nt": ("nt", "sum"), "s1": ("s1", "sum"), "s2": ("s2", "sum")},
-    ).to_pandas()
-    nt, s1, s2 = int(mom["nt"][0]), int(mom["s1"][0]), int(mom["s2"][0])
+    moment row."""
+    tiles = _queen_stencil(_tile_counts(sf_dir, 10)).materialize()
+    mom = _tile_moments(tiles)
+    # the largest int64 moment is S2 = sum n^2 <= max(n)·N
+    _guard_moments("local_morans_i", mom["cmax"], mom["s1"], 1)
+    nt, s1, s2 = mom["nt"], mom["s1"], mom["s2"]
     den = nt * nt * s2 - nt * s1 * s1
     # wrap-proofing: the largest |li_num| is bounded by (nt*cmax + s1) *
     # (8*(nt*cmax + s1)); assert with Python ints before the int64 map
@@ -14948,17 +14782,14 @@ def q_local_morans_i(sf_dir: str):
         c = batch.column("c").to_numpy()
         s = batch.column("s").to_numpy()
         d = batch.column("d").to_numpy()
-        pk = batch.column("pk").to_numpy()
-        occ = c > 0
-        c, s, d, pk = c[occ], s[occ], d[occ], pk[occ]
         z = nt * c - s1
         lag = nt * s - d * s1
         num = z * lag
         li = (num.astype(np.float64) * np.float64(nt)) / np.float64(den)
         return pa.table(
             {
-                "tile_x": pa.array(pk // 2048 - 1),
-                "tile_y": pa.array(pk % 2048 - 1),
+                "tile_x": batch.column("tile_x"),
+                "tile_y": batch.column("tile_y"),
                 "n": pa.array(c),
                 "deg": pa.array(d),
                 "li_num": pa.array(num),
@@ -15124,10 +14955,7 @@ def q_location_quotient(sf_dir: str):
     fixed-order double division. One partial-count exchange; the join of
     marginals folds on the driver over a table bounded BY CONSTRUCTION
     (24x22 mesh domain x guarded type domain)."""
-    ds = _read(sf_dir, "events", ["event_id", "event_type"])
-    ds = ds.map_batches(
-        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
-    )
+    ds = _event_points(sf_dir, ["event_id", "event_type"])
     ds = ds.map_batches(mesh_assign_arith, batch_format="pyarrow")
     ds = ds.select_columns(["mesh_id", "event_type"])
     cells = tree_group_agg(
@@ -15557,10 +15385,7 @@ def q_hhi_concentration(sf_dir: str):
     HHI = sum_t (n_mt/n_m)^2 as the exact integer rational
     (sum_t n_mt^2) / n_m^2 plus one fixed-order double. Same bounded
     (mesh x type) fold as location_quotient."""
-    ds = _read(sf_dir, "events", ["event_id", "event_type"])
-    ds = ds.map_batches(
-        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
-    )
+    ds = _event_points(sf_dir, ["event_id", "event_type"])
     ds = ds.map_batches(mesh_assign_arith, batch_format="pyarrow")
     ds = ds.select_columns(["mesh_id", "event_type"])
     cells = tree_group_agg(
@@ -15672,50 +15497,14 @@ def q_frechet_pairs(sf_dir: str):
 # morans_i / local_morans_i / ripley_k_pairs / getis_ord_hotspots.
 
 
-def _tile_counts_z10(sf_dir: str):
-    """Shared stage-1 reduction for the tile-lattice statistics: events →
-    per-z10-tile counts keyed k = x*1024 + y (ONE fact-sized combiner
-    exchange; everything downstream operates on the reduced tile table)."""
-    ds = _read(sf_dir, "events", ["event_id"])
-    ds = ds.map_batches(
-        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
-    )
-    ds = ds.map_batches(lambda b: assign_webmercator(b, 10), batch_format="pyarrow")
-
-    def pack(batch: pa.Table) -> pa.Table:
-        x = batch.column("tile_x").to_numpy()
-        y = batch.column("tile_y").to_numpy()
-        return pa.table({"k": pa.array(x * 1024 + y)})
-
-    return tree_group_agg(
-        ds.map_batches(pack, batch_format="pyarrow"),
-        ["k"], {"n": (None, "count")},
-    )
-
-
-# The tile-lattice moments are int64 sums. Each is at most
-# factor * max(n) * N for the largest tile count max(n), the point count N
-# and a per-query factor, so past this limit they could wrap silently and
-# the query raises instead.
-_INT64_MOMENT_LIMIT = 1 << 63
-
-
-def _guard_moments(query: str, n_max: int, n_total: int, factor: int) -> None:
-    if factor * n_max * n_total >= _INT64_MOMENT_LIMIT:
-        raise OverflowError(
-            f"{query}: int64 moments may wrap (largest tile count {n_max}, "
-            f"{n_total} points); split them into hi/lo words first"
-        )
-
-
 def q_geary_c(sf_dir: str):
     """Global Geary's C of z10 tile event counts (8-neighbor queen
     weights) — the local-variance complement to ``morans_i``: C < 1 is
     positive autocorrelation, C > 1 negative. Same two-stage plan as
-    Moran: the facts reduce once to the tile table, then the 8-neighbor
-    scatter stencil (9x the TILE table, never the facts) gives every
-    occupied tile p its count c_p, occupied-neighbor sum s_p, neighbor
-    sum-of-squares ss_p and degree d_p, so the directed pair sum
+    Moran: the facts reduce once to the tile table, then the
+    ``_queen_stencil`` gives every occupied tile p its count c_p,
+    occupied-neighbor sum s_p, neighbor sum-of-squares ss_p and degree
+    d_p, so the directed pair sum
     Σ_p Σ_{q∈N(p)} (c_p − n_q)² = Σ_p (d_p·c_p² − 2·c_p·s_p + ss_p) is an
     exact integer without any pair join. With nt tiles, W directed
     pairs and SS·nt = nt·s2 − s1², the single mirrored double division is
@@ -15725,69 +15514,14 @@ def q_geary_c(sf_dir: str):
     Driver assembly is arbitrary-precision Python ints (the per-batch
     int64 partials need the 128-bit split at 10^12 rows, exactly like
     morans_i)."""
-    counts = _tile_counts_z10(sf_dir)
-
-    _DX = np.array([-1, -1, -1, 0, 0, 1, 1, 1], np.int64)
-    _DY = np.array([-1, 0, 1, -1, 1, -1, 0, 1], np.int64)
-
-    def scatter(batch: pa.Table) -> pa.Table:
-        k = batch.column("k").to_numpy()
-        n = batch.column("n").to_numpy()
-        x, y = k // 1024, k % 1024
-        m = len(k)
-        # 8 neighbor emissions (s, ss, d) + 1 center emission (c); the +1
-        # shift keeps edge positions non-negative, phantom positions never
-        # meet a center row and die at the c > 0 filter
-        px = np.concatenate([np.tile(x, 8) + np.repeat(_DX, m), x]) + 1
-        py = np.concatenate([np.tile(y, 8) + np.repeat(_DY, m), y]) + 1
-        zeros = np.zeros(m, np.int64)
-        tiled = np.tile(n, 8)
-        return pa.table(
-            {
-                "pk": pa.array(px * 2048 + py),
-                "c": pa.array(np.concatenate([np.zeros(8 * m, np.int64), n])),
-                "s": pa.array(np.concatenate([tiled, zeros])),
-                "ss": pa.array(np.concatenate([tiled * tiled, zeros])),
-                "d": pa.array(np.concatenate([np.ones(8 * m, np.int64), zeros])),
-            }
-        )
-
-    tiles = tree_group_agg(
-        counts.map_batches(scatter, batch_format="pyarrow"),
-        ["pk"],
-        {"c": ("c", "sum"), "s": ("s", "sum"), "ss": ("ss", "sum"),
-         "d": ("d", "sum")},
+    mom = _tile_moments(
+        _queen_stencil(_tile_counts(sf_dir, 10)),
+        num=lambda t: t["d"] * t["c"] * t["c"] - 2 * t["c"] * t["s"] + t["ss"],
+        w=lambda t: t["d"],
     )
-
-    def moments(batch: pa.Table) -> pa.Table:
-        c = batch.column("c").to_numpy()
-        s = batch.column("s").to_numpy()
-        ss = batch.column("ss").to_numpy()
-        d = batch.column("d").to_numpy()
-        occ = c > 0
-        c, s, ss, d = c[occ], s[occ], ss[occ], d[occ]
-        return pa.table(
-            {
-                "g": pa.array([0]),
-                "nt": pa.array([np.int64(occ.sum())]),
-                "s1": pa.array([c.sum()]),
-                "s2": pa.array([(c * c).sum()]),
-                "num": pa.array([(d * c * c - 2 * c * s + ss).sum()]),
-                "w": pa.array([d.sum()]),
-                "cmax": pa.array([c.max(initial=0)]),
-            }
-        )
-
-    mom = tree_group_agg(
-        tiles.map_batches(moments, batch_format="pyarrow"),
-        ["g"],
-        {"nt": ("nt", "sum"), "s1": ("s1", "sum"), "s2": ("s2", "sum"),
-         "num": ("num", "sum"), "w": ("w", "sum"), "cmax": ("cmax", "max")},
-    ).to_pandas()
-    nt, s1, s2 = int(mom["nt"][0]), int(mom["s1"][0]), int(mom["s2"][0])
-    num, w = int(mom["num"][0]), int(mom["w"][0])
     # 2·c·s, the largest term: each tile's 8 neighbors sum to <= 8·max(n)
-    _guard_moments("geary_c", int(mom["cmax"][0]), s1, 16)
+    _guard_moments("geary_c", mom["cmax"], mom["s1"], 16)
+    nt, s1, s2, num, w = (mom[v] for v in ("nt", "s1", "s2", "num", "w"))
     return pd.DataFrame(
         {
             "n_tiles": np.array([nt], np.int64),
@@ -15841,12 +15575,12 @@ def q_quadrat_vmr(sf_dir: str):
     the exact integer ratio (Q·Σn² − N²) / (Q·N) — one fact-sized
     combiner exchange, then a 5-integer driver fold (Python ints, so the
     N² term can't wrap) and a single mirrored double division."""
-    counts = _tile_counts_z10(sf_dir)
+    counts = _tile_counts(sf_dir, 10)
 
     def fold(batch: pa.Table) -> pa.Table:
         k = batch.column("k").to_numpy()
         n = batch.column("n").to_numpy()
-        x, y = k // 1024, k % 1024
+        x, y = _tile_xy(k, 10)
         return pa.table(
             {
                 "g": pa.array([0]),
@@ -16440,10 +16174,7 @@ def q_zorder_layout(sf_dir: str):
     bucket: row count and the exact Morton min/max the file footer would
     carry as its zone map. The interleave is the mask-shift ladder,
     vectorized; the SQL twin unrolls the 10 bit positions per axis."""
-    ds = _read(sf_dir, "events", ["event_id"])
-    ds = ds.map_batches(
-        lambda b: add_lnglat_arith(b, "event_id"), batch_format="pyarrow"
-    )
+    ds = _event_points(sf_dir, ["event_id"])
     ds = ds.map_batches(lambda b: assign_webmercator(b, 10), batch_format="pyarrow")
 
     def pack(batch: pa.Table) -> pa.Table:

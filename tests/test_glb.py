@@ -211,6 +211,42 @@ def test_flagship_e2e_writes_valid_glb(ray_session, tmp_path):
     assert (verts[:, 7] >= -1e-6).all() and (verts[:, 7] <= 1 + 1e-6).all()
 
 
+def test_glb_tile_bytes_independent_of_row_order(tmp_path):
+    """One tile group written from two row orders gives identical .glb
+    bytes (Ray hands a group's rows over in no fixed order)."""
+    import pandas as pd
+
+    from plateau_gis_converter_ray.kernels import scheme3dt
+    from plateau_gis_converter_ray.pipelines.flagship import _write_glb_tile
+
+    z = 7
+    lng = np.array([139.60, 139.70, 139.75, 139.65, 139.72])
+    lat = np.array([35.60, 35.65, 35.70, 35.62, 35.68])
+    x, y = scheme3dt.zxy_from_lng_lat(z, lng[:1], lat[:1])
+    g = pd.DataFrame(
+        {
+            "tile_id": 1,
+            "muni_id": [f"muni_{i:03d}" for i in (12, 3, 40, 7, 25)],
+            "n_assignments": np.array([5, 1, 9, 2, 4], np.int64),
+            "zoom": z,
+            "tile_x": int(x[0]),
+            "tile_y": int(y[0]),
+            "lng_min": lng - 0.01,
+            "lng_max": lng + 0.01,
+            "lat_min": lat - 0.01,
+            "lat_max": lat + 0.01,
+        }
+    )
+    glbs = []
+    for i, order in enumerate(([0, 1, 2, 3, 4], [4, 2, 0, 3, 1])):
+        rows = g.iloc[order].reset_index(drop=True)
+        out = _write_glb_tile(rows, str(tmp_path / str(i)))
+        assert int(out["n_munis"][0]) == 5 and int(out["n_materials"][0]) == 5
+        path = tmp_path / str(i) / str(z) / str(int(x[0])) / f"{int(y[0])}.glb"
+        glbs.append(path.read_bytes())
+    assert glbs[0] == glbs[1]
+
+
 def test_metadata_encoder_array_properties():
     """Variable-length array props: values flattened + arrayOffsets view
     (metadata/mod.rs:300-314); absent arrays become empty slices."""

@@ -51,7 +51,11 @@ def _assert_same(a: pd.DataFrame, b: pd.DataFrame):
     "name",
     ["skyline_orders", "inverted_index", "latest_event_per_user",
      "scd2_intervals", "late_supplier_blame", "global_shuffle_rank",
-     "pattern_triples", "bfs_hops"],
+     "pattern_triples", "bfs_hops",
+     # the WebMercator tile-lattice queries
+     "tile_neighbor_smooth", "morans_i", "getis_ord_hotspots",
+     "local_morans_i", "geary_c", "quadrat_vmr", "implicit_quadtree",
+     "quadkey_encode", "tile_pyramid_rollup"],
 )
 def test_wave4_oracle_parity(ray_session, name):
     _assert_same(_ray_df(name), _oracle_df(name))

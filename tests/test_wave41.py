@@ -111,3 +111,9 @@ class TestMomentGuard:
             queries.q_geary_c(SF_SMALL)
         with pytest.raises(OverflowError, match="quadrat_vmr"):
             queries.q_quadrat_vmr(SF_SMALL)
+        with pytest.raises(OverflowError, match="morans_i"):
+            queries.q_morans_i(SF_SMALL)
+        with pytest.raises(OverflowError, match="local_morans_i"):
+            queries.q_local_morans_i(SF_SMALL)
+        with pytest.raises(OverflowError, match="getis_ord_hotspots"):
+            queries.q_getis_ord_hotspots(SF_SMALL)
