@@ -61,14 +61,11 @@ def q_flagship_tiles(sf_dir: str):
 
 
 def q_image_decode_stats(sf_dir: str):
-    import ray.data
-
     from plateau_gis_converter_ray.stages.decode import ImageDecodeStats
+    from plateau_gis_converter_ray.stages.treeagg import tree_group_agg
 
     ds = _images(sf_dir)
     ds = ds.map_batches(ImageDecodeStats(), batch_format="pyarrow", batch_size=1024)
-    from ray.data.aggregate import Count, Sum
-
     import numpy as np
     import pyarrow as pa
 
@@ -89,11 +86,11 @@ def q_image_decode_stats(sf_dir: str):
             }
         )
 
-    ds = ds.map_batches(check, batch_format="pyarrow")
-    return ds.groupby("fmt").aggregate(
-        Count(alias_name="n"),
-        Sum("phash_ok", alias_name="n_phash_ok"),
-        Sum("psnr_ok", alias_name="n_psnr_ok"),
+    return tree_group_agg(
+        ds.map_batches(check, batch_format="pyarrow"),
+        ["fmt"],
+        {"n": (None, "count"), "n_phash_ok": ("phash_ok", "sum"),
+         "n_psnr_ok": ("psnr_ok", "sum")},
     )
 
 
@@ -280,11 +277,11 @@ def q_embed_lsh_near_dup(sf_dir: str):
 def q_image_thumbs(sf_dir: str):
     """Multimodal resize stage: bytes -> t x t grayscale thumbs (actor pool);
     aggregate mean thumb intensity by (w, h) source size (rows-only)."""
-    import ray.data
     import numpy as np
     import pyarrow as pa
 
     from plateau_gis_converter_ray.stages.decode import ImageResize
+    from plateau_gis_converter_ray.stages.treeagg import tree_group_agg
 
     ds = _images(sf_dir, ["image_id", "bytes", "w", "h", "fmt"])
     ds = ds.map_batches(ImageResize(), batch_format="pyarrow", batch_size=1024)
@@ -295,15 +292,15 @@ def q_image_thumbs(sf_dir: str):
         # float32 reduction then float64 scale: matches the old per-row path
         means = flat.reshape(len(batch), -1).mean(axis=1).astype(np.float64)
         return pa.table(
-            {"w": batch.column("w"), "h": batch.column("h"),
+            {"w": batch.column("w").cast(pa.int64()),
+             "h": batch.column("h").cast(pa.int64()),
              "thumb_mean_c": pa.array(np.round(means * 100).astype(np.int64))}
         )
 
-    ds = ds.map_batches(agg, batch_format="pyarrow")
-    from ray.data.aggregate import Count, Sum
-
-    return ds.groupby(["w", "h"]).aggregate(
-        Count(alias_name="n"), Sum("thumb_mean_c", alias_name="sum_thumb_mean_c")
+    return tree_group_agg(
+        ds.map_batches(agg, batch_format="pyarrow"),
+        ["w", "h"],
+        {"n": (None, "count"), "sum_thumb_mean_c": ("thumb_mean_c", "sum")},
     )
 
 
@@ -449,9 +446,8 @@ def q_image_sharpness(sf_dir: str):
     the decode task), then a tiny per-fmt reduce — n, blurry count, and the
     exact global Laplacian-energy total. Rows-only; the per-image stencil is
     pinned against a naive per-image recompute in pytest."""
-    import ray.data
-
     from plateau_gis_converter_ray.stages.decode import ImageSharpness
+    from plateau_gis_converter_ray.stages.treeagg import tree_group_agg
 
     ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     ds = ds.map_batches(ImageSharpness(), batch_format="pyarrow", batch_size=1024)
@@ -469,16 +465,11 @@ def q_image_sharpness(sf_dir: str):
             }
         )
 
-    from ray.data.aggregate import Sum
-
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("fmt")
-        .aggregate(
-            Sum("one", alias_name="n"),
-            Sum("blurry", alias_name="n_blurry"),
-            Sum("lap_sq_sum", alias_name="lap_energy"),
-        )
+    return tree_group_agg(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        ["fmt"],
+        {"n": ("one", "sum"), "n_blurry": ("blurry", "sum"),
+         "lap_energy": ("lap_sq_sum", "sum")},
     )
 
 
@@ -726,16 +717,14 @@ def q_image_equalize(sf_dir: str):
     integer CDF remap, zero exchanges; tiny per-fmt reduce of the exact
     before/after sums + positional checksum. Rows-only; the remap is
     pinned against a naive per-image recompute in pytest."""
-    import ray.data
-
     from plateau_gis_converter_ray.stages.decode import ImageEqualize
+    from plateau_gis_converter_ray.stages.treeagg import tree_group_agg
 
     ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     ds = ds.map_batches(ImageEqualize(), batch_format="pyarrow", batch_size=1024)
 
     import numpy as np
     import pyarrow as pa
-    from ray.data.aggregate import Sum
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -748,15 +737,12 @@ def q_image_equalize(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("fmt")
-        .aggregate(
-            Sum("one", alias_name="n"),
-            Sum("gray_sum", alias_name="gray_total"),
-            Sum("eq_sum", alias_name="eq_total"),
-            Sum("eq_checksum", alias_name="eq_checksum_total"),
-        )
+    return tree_group_agg(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        ["fmt"],
+        {"n": ("one", "sum"), "gray_total": ("gray_sum", "sum"),
+         "eq_total": ("eq_sum", "sum"),
+         "eq_checksum_total": ("eq_checksum", "sum")},
     )
 
 
@@ -766,9 +752,8 @@ def q_image_letterbox(sf_dir: str):
     leave the decode task); tiny per-fmt reduce of counts + exact margin
     totals. Rows-only; the margin kernel is pinned against a naive
     per-image recompute AND synthetic known-bar images in pytest."""
-    import ray.data
-
     from plateau_gis_converter_ray.stages.decode import ImageLetterbox
+    from plateau_gis_converter_ray.stages.treeagg import tree_group_agg
 
     ds = _images(sf_dir, ["image_id", "bytes", "fmt", "w", "h"])
     ds = ds.map_batches(ImageLetterbox(), batch_format="pyarrow", batch_size=1024)
@@ -776,7 +761,6 @@ def q_image_letterbox(sf_dir: str):
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
-    from ray.data.aggregate import Sum
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -793,15 +777,12 @@ def q_image_letterbox(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("fmt")
-        .aggregate(
-            Sum("one", alias_name="n"),
-            Sum("boxed", alias_name="n_letterboxed"),
-            Sum("margin_tb", alias_name="margin_tb_total"),
-            Sum("margin_lr", alias_name="margin_lr_total"),
-        )
+    return tree_group_agg(
+        ds.map_batches(prep, batch_format="pyarrow"),
+        ["fmt"],
+        {"n": ("one", "sum"), "n_letterboxed": ("boxed", "sum"),
+         "margin_tb_total": ("margin_tb", "sum"),
+         "margin_lr_total": ("margin_lr", "sum")},
     )
 
 

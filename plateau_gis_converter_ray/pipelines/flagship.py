@@ -39,6 +39,7 @@ from ..stages.decode import ImageDecodeStats
 from ..stages.geocode import add_lnglat_hash, geocode_hash
 from ..stages.spatial_join import PIPAssign
 from ..stages.tiles import fanout_zooms
+from ..stages.treeagg import _arrow_group_agg, tree_group_agg
 from ..state.manifest import PartitionManifest, atomic_write_dir
 
 MIN_ZOOM = 7
@@ -119,26 +120,23 @@ def _partial_tile_agg(batch: pa.Table) -> pa.Table:
     )
 
 
-_MERGE_AGGS = [
-    ("n_assignments", "sum"), ("zoom", "min"), ("tile_x", "min"),
-    ("tile_y", "min"), ("lng_min", "min"), ("lng_max", "max"),
-    ("lat_min", "min"), ("lat_max", "max"),
-]
-_MERGE_COLS = [
-    "tile_id", "muni_id", "n_assignments", "zoom", "tile_x", "tile_y",
-    "lng_min", "lng_max", "lat_min", "lat_max",
-]
+# merged column -> (column of the renamed partials, op): the spec of the
+# flagship's tree_group_agg over the (tile_id, muni_id) keys
+_MERGE_SPEC = {
+    "n_assignments": ("n_assignments", "sum"), "zoom": ("zoom", "min"),
+    "tile_x": ("tile_x", "min"), "tile_y": ("tile_y", "min"),
+    "lng_min": ("lng_min", "min"), "lng_max": ("lng_max", "max"),
+    "lat_min": ("lat_min", "min"), "lat_max": ("lat_max", "max"),
+}
+_MERGE_KEYS = ["tile_id", "muni_id"]
 
 
 def _merge_partials(batch: pa.Table) -> pa.Table:
-    """Associative merge of partial tile aggregates — pure-Arrow hash
-    aggregate (C++ kernel, no pandas round-trip in the stages feeding the
-    repartition exchange; r3 verdict item #5), metadata-free schema so
-    downstream shuffles keep block-schema dedup."""
-    t = batch.group_by(["tile_id", "muni_id"]).aggregate(_MERGE_AGGS)
-    back = {f"{col}_{fn}": col for col, fn in _MERGE_AGGS}
-    t = t.rename_columns([back.get(c, c) for c in t.column_names])
-    return t.select(_MERGE_COLS).replace_schema_metadata(None)
+    """Associative merge of renamed partial tile aggregates in one table:
+    the merge step of ``tile_aggregate_ds``'s tree, for callers that merge
+    in-process (the serial reference chain in ``perfbench/layers.py``)."""
+    aggs = [(col, op) for col, (_, op) in _MERGE_SPEC.items()]
+    return _arrow_group_agg(batch, _MERGE_KEYS, aggs, list(_MERGE_SPEC))
 
 
 _PIP_CACHE: dict = {}  # per-worker-process polygon index cache (actor-state role)
@@ -168,10 +166,11 @@ def tile_aggregate_ds(files: list[str], decode_concurrency=(1, 8)):
     The whole row path — read -> decode -> geocode -> PIP join -> zoom
     fan-out -> combiner — is ONE fused task chain (all stateless functions;
     per-worker state lives in module caches fed by broadcast refs), so image
-    bytes never hit the object store between stages. The only exchange is
-    the tree merge over the tiny combiner output: two merge levels (fan-in
-    ~blocks/8, then 1) keep the reduce associative and log-depth — at 100 TB
-    the same tree gains a level instead of a single-task tail.
+    bytes never hit the object store between stages. The only exchanges
+    are ``tree_group_agg``'s merge levels over the tiny combiner output:
+    one level at the block counts a chunk reads (32 blocks for 15 files),
+    and more levels as the read's block bound grows, so no single task
+    ever merges the partials of a 100 TB input.
 
     Batch sizing: a fused chain's TASK bundle is sized by the LARGEST
     batch_size among its stages, so one oversized combiner batch silently
@@ -203,35 +202,9 @@ def tile_aggregate_ds(files: list[str], decode_concurrency=(1, 8)):
     )
     ds = ds.map_batches(_fanout_stage, batch_format="pyarrow", batch_size=chain_batch)
     ds = ds.map_batches(_partial_tile_agg, batch_format="pyarrow", batch_size=chain_batch)
-
-    # rename partial columns to the final names, then tree-merge
-    def rename(batch: pa.Table) -> pa.Table:
-        return batch.rename_columns(
-            [
-                "tile_id", "zoom", "tile_x", "tile_y", "muni_id",
-                "n_assignments", "lng_min", "lng_max", "lat_min", "lat_max",
-            ]
-        )
-
-    ds = ds.map_batches(rename, batch_format="pyarrow")
-    ds = ds.map_batches(_merge_partials, batch_format="pyarrow", batch_size=None)
-    # tree-merge depth: one level suffices while the combiner output is
-    # small (<~1M rows); at 100 TB add intermediate levels (repartition(k)
-    # -> merge) so no single task sees the full partial set
-    for fan_in in _merge_fan_ins(len(files)):
-        ds = ds.repartition(fan_in).map_batches(
-            _merge_partials, batch_format="pyarrow", batch_size=None
-        )
-    return ds
-
-
-def _merge_fan_ins(n_files: int) -> list[int]:
-    """Merge-level fan-ins by input size: log-depth at scale, flat when small."""
-    if n_files > 512:
-        return [64, 8, 1]
-    if n_files > 64:
-        return [8, 1]
-    return [1]
+    return tree_group_agg(
+        ds, _MERGE_KEYS, {**_MERGE_SPEC, "n_assignments": ("cnt", "sum")}
+    )
 
 
 def _part_files(out_dir: str) -> list[str]:
@@ -317,13 +290,14 @@ def run_flagship(
 
 
 def flagship_result_ds(out_dir: str):
-    """Read back the merged flagship aggregate (final associative reduce)."""
+    """Read back the merged flagship aggregate (final associative reduce).
+    One block per part file: each is one chunk's merged aggregate already,
+    and split blocks would only add combiner and exchange tasks."""
     import ray.data
 
-    ds = ray.data.read_parquet(_part_files(out_dir))
-    return ds.repartition(1).map_batches(
-        _merge_partials, batch_format="pyarrow", batch_size=None
-    )
+    files = _part_files(out_dir)
+    ds = ray.data.read_parquet(files, override_num_blocks=max(len(files), 1))
+    return tree_group_agg(ds, _MERGE_KEYS, _MERGE_SPEC)
 
 
 def _muni_material(muni_id: str) -> dict:

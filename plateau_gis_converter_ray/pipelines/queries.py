@@ -61,7 +61,7 @@ def _geo_sql(id_expr: str) -> str:
 
 # shared combiner + log-depth tree-merge aggregate (stages/treeagg.py);
 # re-exported here because the registry queries and external callers use it
-from ..stages.treeagg import tree_group_agg  # noqa: E402
+from ..stages.treeagg import combine_blocks, tree_group_agg  # noqa: E402
 
 
 def _event_points(sf_dir: str, cols):
@@ -430,7 +430,6 @@ def q_pricing_summary(sf_dir: str):
             "sum_charge_s": ("charge_s", "sum"),
             "count_order": (None, "count"),
         },
-        levels=(1,),
     )
 
 
@@ -467,10 +466,8 @@ def _rev_by_order(sf_dir: str, full: bool = True):
     stay split across blocks)."""
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice", "l_discount"])
     li = li.map_batches(_rev_scaled, batch_format="pyarrow")
-    return tree_group_agg(
-        li, ["l_orderkey"], {"revenue_s": ("rev_s", "sum")},
-        levels=(8, 1) if full else (),
-    )
+    agg = tree_group_agg if full else combine_blocks
+    return agg(li, ["l_orderkey"], {"revenue_s": ("rev_s", "sum")})
 
 
 def q_top_orders(sf_dir: str, force: str | None = None):
@@ -630,9 +627,7 @@ def q_nation_revenue(sf_dir: str, force: str | None = None):
         on=("l_orderkey",), right_on=("o_orderkey",),
         num_partitions=JOIN_PARTS, right_size_hint=orders_bound, force=force,
     ).select_columns(["n_name", "revenue_s"])
-    return tree_group_agg(
-        joined, ["n_name"], {"revenue_s": ("revenue_s", "sum")}, levels=(1,)
-    )
+    return tree_group_agg(joined, ["n_name"], {"revenue_s": ("revenue_s", "sum")})
 
 
 _SQL_NATION_REVENUE = """
@@ -666,9 +661,7 @@ def q_join_orders_customers(sf_dir: str):
         on=("o_custkey",), right_on=("c_custkey",),
         how="inner", num_partitions=JOIN_PARTS,
     )
-    from ray.data.aggregate import Count
-
-    return joined.groupby("c_mktsegment").aggregate(Count(alias_name="n_orders"))
+    return tree_group_agg(joined, ["c_mktsegment"], {"n_orders": (None, "count")})
 
 
 _SQL_JOIN_ORDERS_CUSTOMERS = """
@@ -900,11 +893,9 @@ def q_props_extract(sf_dir: str):
         kv = pc.struct_field(k, "k").cast(pa.int64())
         return pa.table({"event_type": batch.column("event_type"), "k": kv})
 
-    ds = ds.map_batches(extract, batch_format="pyarrow")
-    from ray.data.aggregate import Count, Sum
-
-    return ds.groupby("event_type").aggregate(
-        Count(alias_name="n"), Sum("k", alias_name="sum_k")
+    return tree_group_agg(
+        ds.map_batches(extract, batch_format="pyarrow"),
+        ["event_type"], {"n": (None, "count"), "sum_k": ("k", "sum")},
     )
 
 
@@ -1091,9 +1082,7 @@ def q_codelist_resolve(sf_dir: str):
     # pre-built instance as a task fn; the XML still parses lazily once per
     # worker on first use (the path-keyed cache ships empty)
     ds = ds.map_batches(XmlCodeResolver(path), batch_format="pandas")
-    from ray.data.aggregate import Count
-
-    return ds.groupby("lang_label").aggregate(Count(alias_name="n_docs"))
+    return tree_group_agg(ds, ["lang_label"], {"n_docs": (None, "count")})
 
 
 _SQL_CODELIST_RESOLVE = """
@@ -1113,15 +1102,12 @@ FROM documents GROUP BY 1
 
 def q_pip_mesh_bbox(sf_dir: str):
     ds = _event_points(sf_dir, ["event_id"])
-    ds = ds.map_batches(mesh_assign_arith, batch_format="pyarrow")
-    from ray.data.aggregate import Count, Max, Min
-
-    return ds.groupby("mesh_id").aggregate(
-        Count(alias_name="n"),
-        Min("lng", alias_name="lng_min"),
-        Max("lng", alias_name="lng_max"),
-        Min("lat", alias_name="lat_min"),
-        Max("lat", alias_name="lat_max"),
+    return tree_group_agg(
+        ds.map_batches(mesh_assign_arith, batch_format="pyarrow"),
+        ["mesh_id"],
+        {"n": (None, "count"), "lng_min": ("lng", "min"),
+         "lng_max": ("lng", "max"), "lat_min": ("lat", "min"),
+         "lat_max": ("lat", "max")},
     )
 
 
@@ -1901,7 +1887,7 @@ def q_median_value_per_user(sf_dir: str):
 
     hist = tree_group_agg(
         ds.map_batches(to_cents, batch_format="pyarrow"),
-        ["user_id", "value_c"], {"cnt": (None, "count")}, levels=(1,),
+        ["user_id", "value_c"], {"cnt": (None, "count")},
     )
 
     def median_from_hist(df: pd.DataFrame) -> pd.DataFrame:
@@ -1943,9 +1929,7 @@ def q_mode_event_type(sf_dir: str):
     sort + drop_duplicates picks each user's (max count, lexicographically
     first) row — no per-group Python (r2 verdict item #7)."""
     ds = _read(sf_dir, "events", ["user_id", "event_type"])
-    counts = tree_group_agg(
-        ds, ["user_id", "event_type"], {"cnt": (None, "count")}, levels=(1,)
-    )
+    counts = tree_group_agg(ds, ["user_id", "event_type"], {"cnt": (None, "count")})
 
     def pick_mode(df: pd.DataFrame) -> pd.DataFrame:
         df = df.sort_values(
@@ -2151,9 +2135,9 @@ def q_promo_revenue(sf_dir: str):
             {"l_partkey": batch.column("l_partkey"), "rev_s": pa.array(r)}
         )
 
-    per_part = tree_group_agg(
+    per_part = combine_blocks(
         li.map_batches(rev, batch_format="pyarrow"),
-        ["l_partkey"], {"rev_s": ("rev_s", "sum")}, levels=(),
+        ["l_partkey"], {"rev_s": ("rev_s", "sum")},
     )  # partials only: the post-join reduce re-sums, so split keys are fine
 
     from ..stages.joins import auto_join
@@ -5549,7 +5533,7 @@ def q_bpe_merges(sf_dir: str, n_merges: int = 8):
 
 def q_approx_distinct_by_type(sf_dir: str, p: int = 12):
     from ..stages.sketch import hll_estimate, hll_partial
-    from ..stages.treeagg import clean_arrow
+    from ..stages.treeagg import clean_arrow, tree_custom_agg
 
     ds = _read(sf_dir, "events", ["event_type", "user_id"])
 
@@ -5569,11 +5553,7 @@ def q_approx_distinct_by_type(sf_dir: str, p: int = 12):
             rows.append({"event_type": et, "regs": stack.max(axis=0).tobytes()})
         return clean_arrow(pd.DataFrame(rows))
 
-    merged = ds.map_batches(partial, batch_format="pandas", batch_size=None)
-    for fan in (8, 1):
-        merged = merged.repartition(fan).map_batches(
-            merge, batch_format="pandas", batch_size=None
-        )
+    merged = tree_custom_agg(ds, partial, merge)
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         est = [
@@ -6346,7 +6326,7 @@ def _skyline_prune(df: pd.DataFrame) -> pd.DataFrame:
 
 
 def q_skyline_orders(sf_dir: str):
-    from ..stages.treeagg import clean_arrow
+    from ..stages.treeagg import clean_arrow, tree_custom_agg
 
     ds = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice", "o_orderdate"])
 
@@ -6371,14 +6351,7 @@ def q_skyline_orders(sf_dir: str):
     def sky(df: pd.DataFrame) -> pa.Table:
         return clean_arrow(_skyline_prune(df))
 
-    ds = ds.map_batches(prep, batch_format="pyarrow").map_batches(
-        sky, batch_format="pandas", batch_size=None
-    )
-    for fan in (8, 1):
-        ds = ds.repartition(fan).map_batches(
-            sky, batch_format="pandas", batch_size=None
-        )
-    return ds
+    return tree_custom_agg(ds.map_batches(prep, batch_format="pyarrow"), sky, sky)
 
 
 # DuckDB twin: O(n log n) window form of NOT EXISTS dominance — min date
@@ -6460,7 +6433,7 @@ FROM tf GROUP BY term HAVING COUNT(*) >= 5
 
 
 def q_latest_event_per_user(sf_dir: str):
-    from ..stages.treeagg import clean_arrow
+    from ..stages.treeagg import clean_arrow, tree_custom_agg
 
     ds = _read(
         sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"]
@@ -6489,14 +6462,9 @@ def q_latest_event_per_user(sf_dir: str):
         )
         return clean_arrow(df.drop_duplicates("user_id", keep="first"))
 
-    ds = ds.map_batches(prep, batch_format="pyarrow").map_batches(
-        keep_latest, batch_format="pandas", batch_size=None
+    return tree_custom_agg(
+        ds.map_batches(prep, batch_format="pyarrow"), keep_latest, keep_latest
     )
-    for fan in (8, 1):
-        ds = ds.repartition(fan).map_batches(
-            keep_latest, batch_format="pandas", batch_size=None
-        )
-    return ds
 
 
 _SQL_LATEST_EVENT_PER_USER = """
@@ -7707,7 +7675,7 @@ def q_value_histogram(sf_dir: str, nbins: int = 20):
 
     dsq = ds.map_batches(quant, batch_format="pyarrow").materialize()
     mm = tree_group_agg(
-        dsq, ["k"], {"lo": ("vq", "min"), "hi": ("vq", "max")}, levels=(1,)
+        dsq, ["k"], {"lo": ("vq", "min"), "hi": ("vq", "max")}
     ).to_pandas()
     lo = int(mm["lo"].iloc[0])
     span = int(mm["hi"].iloc[0]) - lo + 1
@@ -7841,7 +7809,7 @@ def q_sketch_quantiles(sf_dir: str, nbins: int = 4096):
 
     dsq = ds.map_batches(quant, batch_format="pyarrow").materialize()
     mm = tree_group_agg(
-        dsq, ["k"], {"lo": ("vq", "min"), "hi": ("vq", "max")}, levels=(1,)
+        dsq, ["k"], {"lo": ("vq", "min"), "hi": ("vq", "max")}
     ).to_pandas()
     lo = int(mm["lo"].iloc[0])
     span = int(mm["hi"].iloc[0]) - lo + 1
@@ -9378,9 +9346,9 @@ def q_returned_items(sf_dir: str, force: str | None = None):
         ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
         filter=pads.field("l_returnflag") == "R",
     ).select_columns(["l_orderkey", "l_extendedprice", "l_discount"])
-    per_order = tree_group_agg(
+    per_order = combine_blocks(
         li.map_batches(_rev_scaled, batch_format="pyarrow"),
-        ["l_orderkey"], {"revenue_s": ("rev_s", "sum")}, levels=(),
+        ["l_orderkey"], {"revenue_s": ("rev_s", "sum")},
     )
 
     orders_scan = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
@@ -16058,29 +16026,41 @@ FROM c GROUP BY source
 # weight) shard assignment and Z-order (Morton) data layout buckets. Both
 # are pure vectorized integer kernels mirrored bit-exactly in SQL.
 
-_XS_MUL13 = 8192        # 1 << 13
-_XS_MUL17 = 131072      # 1 << 17
 _U64 = 18446744073709551616
+# avalanche multipliers: odd and below 2^63, so the SQL twin's product with
+# a UBIGINT stays below 2^127 (HUGEINT)
+_FMIX_M1 = 0x4BE98134A5976FD3
+_FMIX_M2 = 0x3BC0993A5AD19A13
 
 
 def _xorshift64(v: np.ndarray) -> np.ndarray:
-    """Marsaglia xorshift64 over uint64 (wrapping shifts) — the mixer both
-    sides share; the SQL twin runs the same three steps in HUGEINT-mod-2^64
-    arithmetic (verified bit-identical)."""
+    """Marsaglia xorshift64 over uint64 (wrapping shifts) plus a
+    multiply-xorshift avalanche finalizer: without it, shards of keys
+    1..150,000 were 2.9x apart (max/min). The SQL twin runs the same steps
+    in HUGEINT-mod-2^64 arithmetic (verified bit-identical)."""
     v = v.astype(np.uint64)
     v ^= (v << np.uint64(13)) & np.uint64(_U64 - 1)
     v ^= v >> np.uint64(7)
     v ^= (v << np.uint64(17)) & np.uint64(_U64 - 1)
-    return v
+    with np.errstate(over="ignore"):
+        for m in (_FMIX_M1, _FMIX_M2):
+            v = (v ^ (v >> np.uint64(33))) * np.uint64(m)
+    return v ^ (v >> np.uint64(33))
 
 
-_XS_SQL_STEPS = """
+_XS_SQL_STEPS = f"""
 , xs1 AS (
-  SELECT {keep}, xor(v, CAST((CAST(v AS HUGEINT) * 8192) % 18446744073709551616 AS UBIGINT)) AS v FROM xs0
+  SELECT {{keep}}, xor(v, CAST((CAST(v AS HUGEINT) * 8192) % 18446744073709551616 AS UBIGINT)) AS v FROM xs0
 ), xs2 AS (
-  SELECT {keep}, xor(v, v >> 7) AS v FROM xs1
+  SELECT {{keep}}, xor(v, v >> 7) AS v FROM xs1
 ), xs3 AS (
-  SELECT {keep}, xor(v, CAST((CAST(v AS HUGEINT) * 131072) % 18446744073709551616 AS UBIGINT)) AS v FROM xs2
+  SELECT {{keep}}, xor(v, CAST((CAST(v AS HUGEINT) * 131072) % 18446744073709551616 AS UBIGINT)) AS v FROM xs2
+), xs4 AS (
+  SELECT {{keep}}, CAST((CAST(xor(v, v >> 33) AS HUGEINT) * {_FMIX_M1}) % 18446744073709551616 AS UBIGINT) AS v FROM xs3
+), xs5 AS (
+  SELECT {{keep}}, CAST((CAST(xor(v, v >> 33) AS HUGEINT) * {_FMIX_M2}) % 18446744073709551616 AS UBIGINT) AS v FROM xs4
+), xs6 AS (
+  SELECT {{keep}}, xor(v, v >> 33) AS v FROM xs5
 )
 """
 
@@ -16091,7 +16071,7 @@ def q_rendezvous_shards(sf_dir: str):
     """Rendezvous (highest-random-weight) shard assignment of customer
     keys across 8 shards — the consistent-placement primitive a
     distributed store uses so that adding a shard only moves 1/(n+1) of
-    the keys. score(key, s) = xorshift64(key·2654435761 + s·40503 +
+    the keys. score(key, s) = _xorshift64(key·2654435761 + s·40503 +
     12345 mod 2^64); each key goes to its max-score shard (ties → lowest
     shard id, matching numpy argmax-first). Fully vectorized: one
     (rows × 8) uint64 broadcast per batch, then a shard-keyed combiner
@@ -16143,7 +16123,7 @@ WITH ks AS (
 , best AS (
   SELECT key, s,
          ROW_NUMBER() OVER (PARTITION BY key ORDER BY v DESC, s ASC) AS rn
-  FROM xs3
+  FROM xs6
 )
 SELECT CAST(s AS BIGINT) AS shard,
        CAST(COUNT(*) AS BIGINT) AS n_keys,
@@ -16351,9 +16331,7 @@ def q_edit_distance_pairs(sf_dir: str):
     cand = exploded.map_batches(add_grp, batch_format="pyarrow").groupby(
         "g"
     ).map_groups(pairs, batch_format="pandas")
-    return tree_group_agg(
-        cand, ["key_a", "key_b"], {"dist": ("dist", "min")}, levels=(8, 1)
-    )
+    return tree_group_agg(cand, ["key_a", "key_b"], {"dist": ("dist", "min")})
 
 
 _SQL_EDIT_DISTANCE_PAIRS = """

@@ -76,12 +76,9 @@ def bloom_build(ds, key_col: str, m_bits: int = 1 << 20, k: int = 4) -> np.ndarr
             acc |= np.frombuffer(b, dtype=np.uint64)
         return pd.DataFrame({"bits": [acc.tobytes()]})
 
-    out = ds.map_batches(partial, batch_format="pandas", batch_size=None)
-    for fan in (8, 1):
-        out = out.repartition(fan).map_batches(
-            or_merge, batch_format="pandas", batch_size=None
-        )
-    final = out.to_pandas()
+    from .treeagg import tree_custom_agg
+
+    final = tree_custom_agg(ds, partial, or_merge).to_pandas()
     return np.frombuffer(final["bits"].iloc[0], dtype=np.uint64).copy()
 
 

@@ -143,9 +143,7 @@ def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.5):
     # surface from several bands — combiner + tree merge, no repartition(1)
     from .treeagg import tree_group_agg
 
-    cand = tree_group_agg(
-        cand, ["doc_a", "doc_b"], {"n_buckets": (None, "count")}, levels=(8, 1)
-    )
+    cand = tree_group_agg(cand, ["doc_a", "doc_b"], {"n_buckets": (None, "count")})
 
     # gram-hash each doc ONCE, distributed, into a packed uint64 blob (a
     # binary column: Arrow's hash join carries it, a list column it does

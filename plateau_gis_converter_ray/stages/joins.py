@@ -43,6 +43,54 @@ def _scan_rooted_size(ds) -> int | None:
     return None
 
 
+def _block_bound(ds) -> int | None:
+    """Upper bound on the blocks ``ds`` emits, read off its logical plan
+    (never executed); None when the plan carries no evidence.
+    ``initial_num_blocks()`` will not do: it reports a one-file read as 1
+    block however many blocks the read emits.
+
+    A read emits its requested blocks or its read tasks, whichever is more
+    (Ray sizes an unrequested count by bytes); a join, repartition or
+    in-memory source emits its partition count. Any of them splits off one
+    more block per ``target_max_block_size`` of output, so the source bytes
+    under it count too. One-input ops pass the bound through; a union sums
+    its inputs'."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+
+    def source_bytes(op):
+        sizes = [
+            o._mem_size if type(o).__name__ == "Read"
+            else o.infer_metadata().size_bytes
+            for o in op.post_order_iter() if not o.input_dependencies
+        ]
+        return None if None in sizes else sum(sizes)
+
+    def bound(op):
+        name, deps = type(op).__name__, op.input_dependencies
+        if name == "Union":
+            parts = [bound(o) for o in deps]
+            return None if None in parts else sum(parts)
+        n = op._num_outputs
+        if name == "Read":
+            n = max(op._parallelism, n or 0)
+            if op._parallelism < 0 and op._mem_size:
+                n = max(n, min(ctx.read_op_min_num_blocks,
+                               op._mem_size // ctx.target_min_block_size))
+        if n is None:
+            return bound(deps[0]) if len(deps) == 1 else None
+        size = source_bytes(op)
+        if size is None:
+            return None
+        return n + size // ctx.target_max_block_size if ctx.target_max_block_size else n
+
+    try:
+        return bound(ds._plan._logical_plan.dag)
+    except AttributeError:  # a plan shape this walk does not know
+        return None
+
+
 def auto_join(
     left,
     right,

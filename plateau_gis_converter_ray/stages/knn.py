@@ -327,6 +327,7 @@ def ivf_self_knn(sf_dir: str, n_centroids: int = 8, nprobe: int = 6, dim: int = 
     import ray.data
 
     from ..sources.tables import read_table
+    from .treeagg import tree_custom_agg
 
     ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
     centroids = distributed_lloyd_centroids(ds, n_centroids, dim)
@@ -409,11 +410,7 @@ def ivf_self_knn(sf_dir: str, n_centroids: int = 8, nprobe: int = 6, dim: int = 
         df = df.sort_values(["vec_id", "dist2_q", "ann_id"], kind="mergesort")
         return df.drop_duplicates("vec_id", keep="first")
 
-    best = local.map_batches(best_rows, batch_format="pandas", batch_size=None)
-    for fan in (8, 1):
-        best = best.repartition(fan).map_batches(
-            best_rows, batch_format="pandas", batch_size=None
-        )
+    best = tree_custom_agg(local, best_rows, best_rows)
 
     def mark_isolated(df: pd.DataFrame) -> pd.DataFrame:
         # a vector whose probed buckets held no other member only ever saw

@@ -24,6 +24,7 @@ import numpy as np
 import pandas as pd
 
 from ..kernels.imagecodec import splitmix64
+from .treeagg import tree_custom_agg
 
 _SALT_CM = np.uint64(0xA076_1D64_78BD_642F)
 
@@ -82,11 +83,7 @@ def approx_distinct(ds, key_col: str, p: int = 12):
             acc = np.maximum(acc, np.frombuffer(b, dtype=np.uint8))
         return pd.DataFrame({"regs": [acc.tobytes()]})
 
-    out = ds.map_batches(partial, batch_format="pandas", batch_size=None)
-    for fan in (8, 1):
-        out = out.repartition(fan).map_batches(
-            merge, batch_format="pandas", batch_size=None
-        )
+    out = tree_custom_agg(ds, partial, merge)
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
         regs = np.frombuffer(batch["regs"].iloc[0], dtype=np.uint8)
@@ -140,12 +137,7 @@ def cm_build(ds, key_col: str, w: int = 2048, d: int = 4) -> np.ndarray:
             acc += np.frombuffer(b, dtype=np.int64)
         return pd.DataFrame({"cm": [acc.tobytes()]})
 
-    out = ds.map_batches(partial, batch_format="pandas", batch_size=None)
-    for fan in (8, 1):
-        out = out.repartition(fan).map_batches(
-            merge, batch_format="pandas", batch_size=None
-        )
-    final = out.to_pandas()
+    final = tree_custom_agg(ds, partial, merge).to_pandas()
     return np.frombuffer(final["cm"].iloc[0], dtype=np.int64).reshape(d, w).copy()
 
 

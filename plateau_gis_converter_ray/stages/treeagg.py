@@ -1,13 +1,16 @@
-"""Combiner + log-depth tree-merge group-aggregate (shared helper).
+"""The engine's one combiner tree for exact group-aggregates.
 
-The engine's answer to Ray's ``groupby().aggregate()`` fixed overhead for
-exact integer/min/max aggregates: a per-batch PURE-ARROW combiner collapses
-each block to one row per key BEFORE any exchange (``pa.Table.group_by`` —
-the C++ hash-aggregate kernel, zero pandas round-trips; r4 verdict item #1),
-then a few repartition+merge levels reduce the (already small) partials.
-Exactness holds because every op is order-free (sum of ints / min / max /
-count). Used by the flagship and the heavy registry queries (see BASELINE.md
-"groupby fixed cost" note).
+A per-block combiner collapses each block to one row per key BEFORE any
+exchange (``pa.Table.group_by`` — the C++ hash-aggregate kernel, no pandas
+round-trip), then merge levels (``repartition(fan)`` -> re-aggregate)
+reduce the already-small partials. Exactness holds because every op is
+order-free (sum of ints / min / max / count). The merge levels come from
+the input's logical plan (:func:`_merge_levels`), not from the caller: one
+level while at most 64 blocks enter the combiner, 8 -> 1 up to 512 blocks,
+64 -> 8 -> 1 above. Every exact group-aggregate over a bounded key space
+(the flagship's tile merge, the registry queries) goes through
+:func:`tree_group_agg`, or :func:`tree_custom_agg` for merges the op table
+cannot express; fact-sized key spaces take :func:`grouped_group_agg`.
 """
 
 from __future__ import annotations
@@ -76,40 +79,58 @@ def _spec_plans(group_cols: list[str], agg_spec: dict):
     return first, again, outs
 
 
-def tree_group_agg(ds, group_cols: list[str], agg_spec: dict, levels=(8, 1)):
-    """``agg_spec``: out_col -> (src_col, op) with op in sum|min|max|count."""
-    first, again, outs = _spec_plans(group_cols, agg_spec)
+def _merge_levels(ds) -> list[int]:
+    """Merge-level fan-ins for the blocks ``ds`` feeds the combiner: flat
+    while few, log-depth at scale, two levels when the plan gives no bound."""
+    from .joins import _block_bound
+
+    n = _block_bound(ds)
+    if n is None:
+        return [8, 1]
+    return [1] if n <= 64 else [8, 1] if n <= 512 else [64, 8, 1]
+
+
+def combine_blocks(ds, group_cols: list[str], agg_spec: dict):
+    """The per-block combiner of :func:`tree_group_agg` alone: one row per
+    key per block, no exchange. A key's partials may stay split across
+    blocks, so use it only where a later aggregate re-merges."""
+    first, _, outs = _spec_plans(group_cols, agg_spec)
 
     def partial(t: pa.Table) -> pa.Table:
         return _arrow_group_agg(t, group_cols, first, outs)
 
+    return ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+
+
+def tree_group_agg(ds, group_cols: list[str], agg_spec: dict):
+    """``agg_spec``: out_col -> (src_col, op) with op in sum|min|max|count.
+    Null-key rows are dropped (pandas ``dropna=True``)."""
+    _, again, outs = _spec_plans(group_cols, agg_spec)
+
     def merge(t: pa.Table) -> pa.Table:
         return _arrow_group_agg(t, group_cols, again, outs)
 
-    ds = ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-    for fan in levels:
-        ds = ds.repartition(fan).map_batches(
-            merge, batch_format="pyarrow", batch_size=None
-        )
-    return ds
+    partials = combine_blocks(ds, group_cols, agg_spec)
+    return _merge_tree(ds, partials, merge, "pyarrow")
 
 
-def tree_custom_agg(ds, partial, merge, levels=(8, 1)):
-    """Combiner tree with CUSTOM partial/merge steps (same shape as
-    :func:`tree_group_agg`, for aggregates the op-table can't express —
-    lexicographic arg-min/arg-max, bounded top-k partials, extreme-point
-    reductions). ``partial`` collapses one input batch; ``merge``
-    re-collapses concatenated partials and must be order-free and
-    idempotent on its own output. Both take a pandas DataFrame and return
-    a metadata-free Arrow table (:func:`clean_arrow`). This variant keeps
-    the pandas batch format BY CONTRACT (callers' partials are written
-    against it); the op-table paths above are pure Arrow."""
-    ds = ds.map_batches(partial, batch_format="pandas", batch_size=None)
-    for fan in levels:
-        ds = ds.repartition(fan).map_batches(
-            merge, batch_format="pandas", batch_size=None
+def tree_custom_agg(ds, partial, merge):
+    """Combiner tree with CUSTOM partial/merge steps, for aggregates the
+    op-table can't express (arg-min/arg-max rows, top-k partials, sketch
+    merges). ``partial`` collapses one block; ``merge`` re-collapses
+    concatenated partials and must be order-free and idempotent on its own
+    output. Both take a pandas DataFrame BY CONTRACT and return an Arrow
+    table (:func:`clean_arrow`) or a DataFrame."""
+    partials = ds.map_batches(partial, batch_format="pandas", batch_size=None)
+    return _merge_tree(ds, partials, merge, "pandas")
+
+
+def _merge_tree(ds, partials, merge, batch_format: str):
+    for fan in _merge_levels(ds):
+        partials = partials.repartition(fan).map_batches(
+            merge, batch_format=batch_format, batch_size=None
         )
-    return ds
+    return partials
 
 
 def _col_hash(t: pa.Table, cols: list[str], n_groups: int) -> np.ndarray:

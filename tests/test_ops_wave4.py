@@ -22,7 +22,7 @@ def _oracle_df(name):
     from __ray_entry__ import oracle_sql
 
     con = duckdb.connect()
-    for t in "orders lineitem events documents embeddings".split():
+    for t in "orders lineitem customer events documents embeddings".split():
         con.sql(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{SF}/{t}.parquet')"
         )
@@ -55,7 +55,10 @@ def _assert_same(a: pd.DataFrame, b: pd.DataFrame):
      # the WebMercator tile-lattice queries
      "tile_neighbor_smooth", "morans_i", "getis_ord_hotspots",
      "local_morans_i", "geary_c", "quadrat_vmr", "implicit_quadtree",
-     "quadkey_encode", "tile_pyramid_rollup"],
+     "quadkey_encode", "tile_pyramid_rollup",
+     # exact group-aggregates on the shared combiner tree
+     "props_extract", "codelist_resolve", "join_orders_customers",
+     "pip_mesh_bbox"],
 )
 def test_wave4_oracle_parity(ray_session, name):
     _assert_same(_ray_df(name), _oracle_df(name))

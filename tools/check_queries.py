@@ -84,7 +84,8 @@ def main():
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
     only = set(sys.argv[2:])
 
-    ray.init(address="local", num_cpus=int(os.environ.get("CHECK_CPUS", "8")), include_dashboard=False,
+    cpus = int(os.environ.get("CHECK_CPUS", len(os.sched_getaffinity(0))))
+    ray.init(address="local", num_cpus=cpus, include_dashboard=False,
              ignore_reinit_error=True, logging_level="ERROR")
     from ray.data import DataContext
 
