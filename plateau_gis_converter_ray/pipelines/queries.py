@@ -61,7 +61,11 @@ def _geo_sql(id_expr: str) -> str:
 
 # shared combiner + log-depth tree-merge aggregate (stages/treeagg.py);
 # re-exported here because the registry queries and external callers use it
-from ..stages.treeagg import combine_blocks, tree_group_agg  # noqa: E402
+from ..stages.treeagg import (  # noqa: E402
+    combine_blocks,
+    grouped_apply,
+    tree_group_agg,
+)
 
 
 def _event_points(sf_dir: str, cols):
@@ -1239,12 +1243,6 @@ WHERE c_custkey NOT IN (
 # 25. As-of join: each event matched to the user's latest prior order
 #     (merge_asof per sorted group — the range-join pattern)
 
-# customer-key hash buckets for the merged as-of / range joins: each bucket
-# task runs ONE vectorized merge over all its customers (at cluster scale,
-# size ~ 4x total cores so the shuffle stays balanced)
-ASOF_BUCKETS = 64
-
-
 def q_asof_latest_order(sf_dir: str):
     """For each event, the most recent order of customer (user_id + 1) with
     o_orderdate <= ts; ties on date -> highest o_orderkey.
@@ -1290,8 +1288,8 @@ def q_asof_latest_order(sf_dir: str):
         lexsort co-sorts every customer's orders and events, a running
         maximum carries 'index of the last order so far', and a customer
         mismatch at that index means 'no prior order' — no per-customer
-        Python (the bucket replaces ~|customers| pandas group calls with
-        ASOF_BUCKETS vectorized ones)."""
+        Python (one vectorized call per hash group replaces ~|customers|
+        pandas group calls)."""
         n = len(g)
         cust = g["cust"].to_numpy()
         kind = g["kind"].to_numpy()
@@ -1320,18 +1318,7 @@ def q_asof_latest_order(sf_dir: str):
             }
         )
 
-    def with_bucket(batch: pa.Table) -> pa.Table:
-        cust = batch.column("cust").to_numpy()
-        return batch.append_column(
-            "bucket", pa.array(cust % ASOF_BUCKETS)
-        )
-
-    return (
-        orders.union(events)
-        .map_batches(with_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(asof_bucket, batch_format="pandas")
-    )
+    return grouped_apply(orders.union(events), ["cust"], asof_bucket)
 
 
 _SQL_ASOF_LATEST_ORDER = """
@@ -1814,16 +1801,7 @@ def q_range_join_recent(sf_dir: str):
             }
         )
 
-    def with_bucket(batch: pa.Table) -> pa.Table:
-        cust = batch.column("cust").to_numpy()
-        return batch.append_column("bucket", pa.array(cust % ASOF_BUCKETS))
-
-    return (
-        orders.union(events)
-        .map_batches(with_bucket, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(count_window_bucket, batch_format="pandas")
-    )
+    return grouped_apply(orders.union(events), ["cust"], count_window_bucket)
 
 
 _SQL_RANGE_JOIN_RECENT = """
@@ -2426,7 +2404,7 @@ def _doc_tf(sf_dir: str):
     from ..stages.treeagg import grouped_group_agg
 
     return grouped_group_agg(
-        tok, ["doc_id", "term"], {"tf": (None, "count")}, n_groups=32
+        tok, ["doc_id", "term"], {"tf": (None, "count")}
     )
 
 
@@ -2461,13 +2439,9 @@ def q_top_terms_per_doc(sf_dir: str, k: int = 3):
         out = g.groupby("doc_id", as_index=False).head(k)
         return clean_arrow(out[["doc_id", "term", "tf", "df"]])
 
-    # final per-doc top-k over the pruned candidates: 64 hash-bucket
-    # groups, each resolved by ONE vectorized sort + groupby-head (not one
+    # final per-doc top-k over the pruned candidates: each doc-keyed hash
+    # group resolved by ONE vectorized sort + groupby-head (not one
     # pandas invocation per doc)
-    def bucket(batch: pa.Table) -> pa.Table:
-        did = batch.column("doc_id").to_numpy()
-        return batch.append_column("b", pa.array(did % 64))
-
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
         g = g.assign(score=g["tf"].to_numpy() / g["df"].to_numpy())
         g = g.sort_values(["doc_id", "score", "term"],
@@ -2477,10 +2451,8 @@ def q_top_terms_per_doc(sf_dir: str, k: int = 3):
 
     pruned = joined.map_batches(
         block_prune, batch_format="pandas", batch_size=None
-    ).map_batches(bucket, batch_format="pyarrow")
-    return pruned.groupby("b").map_groups(
-        final_topk, batch_format="pandas"
     )
+    return grouped_apply(pruned, ["doc_id"], final_topk)
 
 
 _SQL_TOP_TERMS_PER_DOC = """
@@ -2716,14 +2688,10 @@ def q_decile_bucket(sf_dir: str, buckets: int = 10):
     kk, m = divmod(total, buckets)
     thresh = m * (kk + 1)
 
-    # one exchange over 64 hash buckets of the value key (not one pandas
-    # invocation per distinct value); within a bucket the per-value ranks
-    # come from a vectorized run-length pass over the (value, event) sort,
-    # base ranks from a searchsorted against the broadcast distinct table
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        vc = batch.column("value_c").to_numpy()
-        return batch.append_column("vb", pa.array(vc % 64))
-
+    # one exchange keyed on the value (not one pandas invocation per
+    # distinct value); within a group the per-value ranks come from a
+    # vectorized run-length pass over the (value, event) sort, base ranks
+    # from a searchsorted against the broadcast distinct table
     def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["value_c", "event_id"])
         vc = g["value_c"].to_numpy()
@@ -2744,11 +2712,7 @@ def q_decile_bucket(sf_dir: str, buckets: int = 10):
              "bucket": bucket.astype(np.int64)}
         )
 
-    return (
-        e.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("vb")
-        .map_groups(rank_bucket, batch_format="pandas")
-    )
+    return grouped_apply(e, ["value_c"], rank_bucket)
 
 
 _SQL_DECILE_BUCKET = """
@@ -2969,6 +2933,18 @@ def _word_trigrams(batch: pa.Table) -> pd.DataFrame:
     ok[: len(s) - 2] = did[: len(did) - 2] == did[2:]
     out = pd.DataFrame({"doc_id": did, "gram": gram})[ok]
     return out.drop_duplicates()
+
+
+def _trigram_rows(batch: pa.Table) -> pa.Table:
+    """:func:`_word_trigrams` as a metadata-free Arrow block, typed even
+    when empty."""
+    from ..stages.treeagg import clean_arrow
+
+    g = _word_trigrams(batch)
+    if not len(g):
+        return pa.table({"doc_id": pa.array([], pa.int64()),
+                         "gram": pa.array([], pa.string())})
+    return clean_arrow(g)
 
 
 # per-worker deserialized eval-gram set — SINGLE slot (keyed by ref hex,
@@ -3231,23 +3207,11 @@ FROM documents d LEFT JOIN comp c ON d.doc_id = c.doc_id
 # aggregate moves only (doc_id, int, int) rows.
 
 
-def q_dup_ngram_frac(sf_dir: str, n_buckets: int = 64):
-    from ..stages.treeagg import clean_arrow, tree_group_agg
+def q_dup_ngram_frac(sf_dir: str):
+    from ..stages.treeagg import clean_arrow
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def grams(batch: pa.Table) -> pa.Table:
-        g = _word_trigrams(batch)
-        if not len(g):
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "gram": pa.array([], pa.string()),
-                             "b": pa.array([], pa.int64())})
-        b = pd.util.hash_array(
-            np.asarray(g["gram"].to_numpy(), dtype=object)
-        ) % n_buckets
-        return clean_arrow(g.assign(b=b.astype(np.int64)))
-
-    pairs = ds.map_batches(grams, batch_format="pyarrow")
+    pairs = ds.map_batches(_trigram_rows, batch_format="pyarrow")
 
     def per_bucket(g: pd.DataFrame) -> pa.Table:
         nd = g.groupby("gram")["doc_id"].transform("size")
@@ -3258,7 +3222,7 @@ def q_dup_ngram_frac(sf_dir: str, n_buckets: int = 64):
         )
         return clean_arrow(out)
 
-    partial = pairs.groupby("b").map_groups(per_bucket, batch_format="pandas")
+    partial = grouped_apply(pairs, ["gram"], per_bucket)
     tot = tree_group_agg(
         partial, ["doc_id"],
         {"n_grams": ("n_grams", "sum"), "n_dup": ("n_dup", "sum")},
@@ -4203,7 +4167,7 @@ SELECT (SELECT COUNT(*) FROM w JOIN p
 # ORDER BY): each user's event-type journey as a '>'-joined string in
 # (ts, event_id) order — the sequence-mining precursor (funnels, next-
 # event prediction corpora). Per-user groups are bounded (documented);
-# 64 hash-bucket groups each resolve all their users in one vectorized
+# each user-keyed hash group resolves all its users in one vectorized
 # sort + per-user join.
 
 
@@ -4211,10 +4175,6 @@ def q_user_event_sequence(sf_dir: str):
     from ..stages.treeagg import clean_arrow
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy()
-        return batch.append_column("bk", pa.array(u % 64))
 
     def seqs(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -4224,11 +4184,7 @@ def q_user_event_sequence(sf_dir: str):
         )
         return clean_arrow(out)
 
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(seqs, batch_format="pandas")
-    )
+    return grouped_apply(ds, ["user_id"], seqs)
 
 
 _SQL_USER_EVENT_SEQUENCE = """
@@ -4250,7 +4206,7 @@ FROM events GROUP BY user_id
 # exchange.
 
 
-def q_dup_spans(sf_dir: str, n_buckets: int = 64):
+def q_dup_spans(sf_dir: str):
     import pyarrow.compute as pc
 
     from ..stages.treeagg import clean_arrow
@@ -4268,8 +4224,7 @@ def q_dup_spans(sf_dir: str, n_buckets: int = 64):
         if len(s) < 3:
             return pa.table({"doc_id": pa.array([], pa.int64()),
                              "pos": pa.array([], pa.int64()),
-                             "gram": pa.array([], pa.string()),
-                             "b": pa.array([], pa.int64())})
+                             "gram": pa.array([], pa.string())})
         gram = s + " " + s.shift(-1) + " " + s.shift(-2)
         # 1-based within-doc gram position (the oracle's range(1, len-1))
         new_doc = np.empty(len(did), dtype=bool)
@@ -4281,20 +4236,17 @@ def q_dup_spans(sf_dir: str, n_buckets: int = 64):
         pos = np.arange(len(did)) - starts + 1
         ok = np.zeros(len(s), dtype=bool)
         ok[: len(s) - 2] = did[: len(did) - 2] == did[2:]
-        out = pd.DataFrame({"doc_id": did, "pos": pos, "gram": gram})[ok]
-        b = pd.util.hash_array(
-            np.asarray(out["gram"].to_numpy(), dtype=object)
-        ) % n_buckets
-        return clean_arrow(out.assign(b=b.astype(np.int64)))
+        return clean_arrow(
+            pd.DataFrame({"doc_id": did, "pos": pos, "gram": gram})[ok]
+        )
 
     pos_rows = ds.map_batches(grams_pos, batch_format="pyarrow")
 
     def mark_dup(g: pd.DataFrame) -> pa.Table:
         nd = g.groupby("gram")["doc_id"].transform("nunique")
-        out = g.loc[(nd >= 2).to_numpy(), ["doc_id", "pos"]]
-        return clean_arrow(out.assign(bk=out["doc_id"].to_numpy() % 64))
+        return clean_arrow(g.loc[(nd >= 2).to_numpy(), ["doc_id", "pos"]])
 
-    dup_pos = pos_rows.groupby("b").map_groups(mark_dup, batch_format="pandas")
+    dup_pos = grouped_apply(pos_rows, ["gram"], mark_dup)
 
     def islands(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["doc_id", "pos"], kind="stable")
@@ -4318,7 +4270,7 @@ def q_dup_spans(sf_dir: str, n_buckets: int = 64):
         out["span_tokens"] = out["end_pos"] - out["start_pos"] + 3
         return clean_arrow(out)
 
-    return dup_pos.groupby("bk").map_groups(islands, batch_format="pandas")
+    return grouped_apply(dup_pos, ["doc_id"], islands)
 
 
 _SQL_DUP_SPANS = """
@@ -4478,10 +4430,6 @@ def q_funnel_steps(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy()
-        return batch.append_column("bk", pa.array(u % 64))
-
     def steps(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
         seq = g.groupby("user_id")["event_type"].agg(">".join)
@@ -4495,11 +4443,7 @@ def q_funnel_steps(sf_dir: str):
             )
         )
 
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(steps, batch_format="pandas")
-    )
+    return grouped_apply(ds, ["user_id"], steps)
 
 
 _SQL_FUNNEL_STEPS = """
@@ -5204,23 +5148,11 @@ GROUP BY o_orderpriority
 # no broadcast df table (which is corpus-sized and could never broadcast).
 
 
-def q_ngram_lm_score(sf_dir: str, n_buckets: int = 64):
-    from ..stages.treeagg import clean_arrow, tree_group_agg
+def q_ngram_lm_score(sf_dir: str):
+    from ..stages.treeagg import clean_arrow
 
     ds = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def grams(batch: pa.Table) -> pa.Table:
-        g = _word_trigrams(batch)
-        if not len(g):
-            return pa.table({"doc_id": pa.array([], pa.int64()),
-                             "gram": pa.array([], pa.string()),
-                             "b": pa.array([], pa.int64())})
-        b = pd.util.hash_array(
-            np.asarray(g["gram"].to_numpy(), dtype=object)
-        ) % n_buckets
-        return clean_arrow(g.assign(b=b.astype(np.int64)))
-
-    pairs = ds.map_batches(grams, batch_format="pyarrow")
+    pairs = ds.map_batches(_trigram_rows, batch_format="pyarrow")
 
     def per_bucket(g: pd.DataFrame) -> pa.Table:
         df = g.groupby("gram")["doc_id"].transform("size").to_numpy()
@@ -5232,7 +5164,7 @@ def q_ngram_lm_score(sf_dir: str, n_buckets: int = 64):
         return clean_arrow(out)
 
     tot = tree_group_agg(
-        pairs.groupby("b").map_groups(per_bucket, batch_format="pandas"),
+        grouped_apply(pairs, ["gram"], per_bucket),
         ["doc_id"],
         {"n_grams": ("n_grams", "sum"), "sum_df": ("sum_df", "sum")},
     )
@@ -6379,21 +6311,16 @@ WHERE (min_dt_gt IS NULL OR min_dt_gt > date_us) AND date_us = min_dt_eq
 # Inverted index build (the retrieval-side sibling of bm25_search): term ->
 # document frequency + the sorted posting list, materialized as a string so
 # the driver's value-hash can gate it. One term-hash bucket exchange
-# carrying (term, doc_id) pairs; each of the 64 bucket groups resolves all
+# carrying (term, doc_id) pairs; each term-keyed hash group resolves all
 # its terms with one vectorized sort + a C-level join per posting (the same
 # STRING_AGG-shape used by user_event_sequence). min_df prunes the long
 # tail so the output is the useful index, not the hapax list.
 
 
-def q_inverted_index(sf_dir: str, min_df: int = 5, n_buckets: int = 64):
+def q_inverted_index(sf_dir: str, min_df: int = 5):
     from ..stages.treeagg import clean_arrow
 
     tf = _doc_tf(sf_dir)  # (doc_id, term, tf): distinct per doc already
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        t = np.asarray(batch.column("term").to_pylist(), dtype=object)
-        b = (pd.util.hash_array(t) % n_buckets).astype(np.int64)
-        return batch.append_column("b", pa.array(b))
 
     def postings(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["term", "doc_id"], kind="stable")
@@ -6404,11 +6331,7 @@ def q_inverted_index(sf_dir: str, min_df: int = 5, n_buckets: int = 64):
         out = out[out["df"] >= min_df]
         return clean_arrow(out[["term", "df", "postings"]])
 
-    return (
-        tf.map_batches(bucket, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(postings, batch_format="pandas")
-    )
+    return grouped_apply(tf, ["term"], postings)
 
 
 _SQL_INVERTED_INDEX = """
@@ -6480,21 +6403,17 @@ QUALIFY ROW_NUMBER() OVER (PARTITION BY user_id
 # SCD Type-2 history build: compress each user's event_type stream into
 # validity intervals [valid_from, valid_to) opened at every change point
 # (change-data-capture -> slowly-changing-dimension, the standard warehouse
-# op). One user-bucket exchange; inside each of the 64 bucket groups the
+# op). One user-keyed exchange; inside each hash group the
 # change mask, interval close and version number are three vectorized
 # passes (shift compare, next-change shift, cumcount via repeated starts).
 # valid_to = -1 marks the open (current) interval, matching the oracle's
 # COALESCE.
 
 
-def q_scd2_intervals(sf_dir: str, n_buckets: int = 64):
+def q_scd2_intervals(sf_dir: str):
     from ..stages.treeagg import clean_arrow
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy()
-        return batch.append_column("b", pa.array(u % n_buckets))
 
     def intervals(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -6526,11 +6445,7 @@ def q_scd2_intervals(sf_dir: str, n_buckets: int = 64):
             )
         )
 
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(intervals, batch_format="pandas")
-    )
+    return grouped_apply(ds, ["user_id"], intervals)
 
 
 _SQL_SCD2_INTERVALS = """
@@ -6564,14 +6479,12 @@ FROM c
 # scan collapses into the co-grouped pass). Then a suppkey combiner tree.
 
 
-def q_late_supplier_blame(sf_dir: str, late_us: int = 45 * 86_400_000_000,
-                          n_buckets: int = 64):
+def q_late_supplier_blame(sf_dir: str, late_us: int = 45 * 86_400_000_000):
     from ..stages.treeagg import clean_arrow, tree_group_agg
 
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_shipdate"])
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        ok = batch.column("l_orderkey").to_numpy()
+    def prep(batch: pa.Table) -> pa.Table:
         ship = (
             batch.column("l_shipdate")
             .to_numpy()
@@ -6583,7 +6496,6 @@ def q_late_supplier_blame(sf_dir: str, late_us: int = 45 * 86_400_000_000,
                 "l_orderkey": batch.column("l_orderkey"),
                 "l_suppkey": batch.column("l_suppkey"),
                 "ship_us": pa.array(ship),
-                "b": pa.array(ok % n_buckets),
             }
         )
 
@@ -6609,10 +6521,8 @@ def q_late_supplier_blame(sf_dir: str, late_us: int = 45 * 86_400_000_000,
         out["numwait"] = out["numwait"].astype(np.int64)
         return clean_arrow(out)
 
-    partial = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(blame, batch_format="pandas")
+    partial = grouped_apply(
+        ds.map_batches(prep, batch_format="pyarrow"), ["l_orderkey"], blame
     )
     return tree_group_agg(
         partial, ["l_suppkey"], {"numwait": ("numwait", "sum")}
@@ -6713,14 +6623,10 @@ FROM events
 # double-shift compare (no per-user Python, no window join).
 
 
-def q_pattern_triples(sf_dir: str, n_buckets: int = 64):
+def q_pattern_triples(sf_dir: str):
     from ..stages.treeagg import clean_arrow
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy()
-        return batch.append_column("b", pa.array(u % n_buckets))
 
     def triples(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -6743,11 +6649,7 @@ def q_pattern_triples(sf_dir: str, n_buckets: int = 64):
         )
         return clean_arrow(out)
 
-    return (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(triples, batch_format="pandas")
-    )
+    return grouped_apply(ds, ["user_id"], triples)
 
 
 _SQL_PATTERN_TRIPLES = """
@@ -7372,12 +7274,12 @@ def q_tfidf_doc_similarity(sf_dir: str, dim: int = 256, topk: int = 3,
     qn = qv / np.maximum(np.linalg.norm(qv, axis=1), 1e-300)[:, None]
     ref = ray.put((qhead["doc_id"].to_numpy(), qn, idf))
 
-    def block_topk(batch: pa.Table) -> pd.DataFrame:
+    def block_topk(batch: pd.DataFrame) -> pd.DataFrame:
         from ..stages.treeagg import clean_arrow
 
         qids_, qn_, idf_ = ray.get(ref)
-        did = batch.column("doc_id").to_numpy()
-        v = _hashed_tf(batch.column("text").to_pylist(), dim) * idf_[None, :]
+        did = batch["doc_id"].to_numpy()
+        v = _hashed_tf(batch["text"].tolist(), dim) * idf_[None, :]
         vn = v / np.maximum(np.linalg.norm(v, axis=1), 1e-300)[:, None]
         sim = qn_ @ vn.T  # (Q, n)
         sim_e9 = np.floor(sim * 1e9).astype(np.int64)
@@ -7395,9 +7297,9 @@ def q_tfidf_doc_similarity(sf_dir: str, dim: int = 256, topk: int = 3,
             )
         )
 
-    partials = docs.map_batches(block_topk, batch_format="pyarrow")
-
     def merge(df: pd.DataFrame) -> pd.DataFrame:
+        """Order-free (full (qid, -sim_e9, doc_id) sort) and idempotent on
+        its own output (``rank`` is recomputed): the combiner tree's merge."""
         from ..stages.treeagg import clean_arrow
 
         df = df.sort_values(
@@ -7408,9 +7310,9 @@ def q_tfidf_doc_similarity(sf_dir: str, dim: int = 256, topk: int = 3,
         out["rank"] = out.groupby("qid").cumcount().astype(np.int64)
         return clean_arrow(out.reset_index(drop=True))
 
-    return partials.repartition(1).map_batches(
-        merge, batch_format="pandas", batch_size=None
-    )
+    from ..stages.treeagg import tree_custom_agg
+
+    return tree_custom_agg(docs, block_topk, merge)
 
 
 # ---------------------------------------------------------------------------
@@ -10422,14 +10324,12 @@ def q_snapshot_cdc_diff(sf_dir: str):
     def prep(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
         v = np.round(batch.column("value").to_numpy() * 100).astype(np.int64)
-        u = batch.column("user_id").to_numpy()
         return pa.table(
             {
-                "user_id": pa.array(u),
+                "user_id": batch.column("user_id"),
                 "event_id": batch.column("event_id"),
                 "ts_us": pa.array(ts),
                 "value_c": pa.array(v),
-                "bk": pa.array(u % 64),
             }
         )
 
@@ -10458,10 +10358,8 @@ def q_snapshot_cdc_diff(sf_dir: str):
         )
         return clean_arrow(out)
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(diff, batch_format="pandas")
+    return grouped_apply(
+        ds.map_batches(prep, batch_format="pyarrow"), ["user_id"], diff
     )
 
 
@@ -10509,15 +10407,13 @@ def q_ts_ffill_resample(sf_dir: str):
     def prep(batch: pa.Table) -> pa.Table:
         ts = batch.column("ts").to_numpy().astype("datetime64[us]").astype(np.int64)
         v = np.round(batch.column("value").to_numpy() * 100).astype(np.int64)
-        u = batch.column("user_id").to_numpy()
         return pa.table(
             {
-                "user_id": pa.array(u),
+                "user_id": batch.column("user_id"),
                 "event_id": batch.column("event_id"),
                 "ts_us": pa.array(ts),
                 "day": pa.array(ts // us_per_day),
                 "value_c": pa.array(v),
-                "bk": pa.array(u % 64),
             }
         )
 
@@ -10547,10 +10443,8 @@ def q_ts_ffill_resample(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(resample, batch_format="pandas")
+    return grouped_apply(
+        ds.map_batches(prep, batch_format="pyarrow"), ["user_id"], resample
     )
 
 
@@ -10660,13 +10554,11 @@ def q_interval_coverage(sf_dir: str):
         dur = np.round(batch.column("value").to_numpy() * 100).astype(
             np.int64
         ) * 1_000_000
-        u = batch.column("user_id").to_numpy()
         return pa.table(
             {
-                "user_id": pa.array(u),
+                "user_id": batch.column("user_id"),
                 "s": pa.array(s),
                 "e": pa.array(s + dur),
-                "bk": pa.array(u % 64),
             }
         )
 
@@ -10705,10 +10597,8 @@ def q_interval_coverage(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(sweep, batch_format="pandas")
+    return grouped_apply(
+        ds.map_batches(prep, batch_format="pyarrow"), ["user_id"], sweep
     )
 
 
@@ -11151,13 +11041,8 @@ def q_basket_pairs(sf_dir: str, min_support: int = 2):
     ds = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        ok = batch.column("l_orderkey").to_numpy()
         return pa.table(
-            {
-                "ok": batch.column("l_orderkey"),
-                "pk": batch.column("l_partkey"),
-                "bk": pa.array(ok % 64),
-            }
+            {"ok": batch.column("l_orderkey"), "pk": batch.column("l_partkey")}
         )
 
     def pairs(g: pd.DataFrame) -> pa.Table:
@@ -11179,9 +11064,9 @@ def q_basket_pairs(sf_dir: str, min_support: int = 2):
         return clean_arrow(out)
 
     agg = tree_group_agg(
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(pairs, batch_format="pandas"),
+        grouped_apply(
+            ds.map_batches(prep, batch_format="pyarrow"), ["ok"], pairs
+        ),
         ["part_a", "part_b"], {"support": ("support", "sum")},
     )
 
@@ -11601,16 +11486,8 @@ def q_tile_dissolve_regions(sf_dir: str, local_max_edges: int = 20_000_000):
             {"u": pa.array(clm[hit]), "v": pa.array(pkm[hit])}
         )
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bk", pa.array(batch.column("pk").to_numpy() % 64)
-        )
-
-    edges = (
-        tiles.map_batches(scatter, batch_format="pyarrow")
-        .map_batches(bucket, batch_format="pyarrow")
-        .groupby("_bk")
-        .map_groups(to_edges, batch_format="pandas")
+    edges = grouped_apply(
+        tiles.map_batches(scatter, batch_format="pyarrow"), ["pk"], to_edges
     )
     labels = connected_components(
         edges, src="u", dst="v", local_max_edges=local_max_edges
@@ -11642,17 +11519,10 @@ def q_tile_dissolve_regions(sf_dir: str, local_max_edges: int = 20_000_000):
             {"tid": pa.array(m["k"].to_numpy()), "region": pa.array(region)}
         )
 
-    def bucket_k(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "_bk", pa.array(batch.column("k").to_numpy() % 64)
-        )
-
-    return (
+    return grouped_apply(
         tiles.map_batches(tile_rows, batch_format="pyarrow")
-        .union(labels.map_batches(lab_rows, batch_format="pyarrow"))
-        .map_batches(bucket_k, batch_format="pyarrow")
-        .groupby("_bk")
-        .map_groups(resolve, batch_format="pandas")
+        .union(labels.map_batches(lab_rows, batch_format="pyarrow")),
+        ["k"], resolve,
     )
 
 
@@ -11691,17 +11561,13 @@ FROM t LEFT JOIN lab ON lab.tid = t.tid
 
 def q_transition_matrix(sf_dir: str):
     """Markov transition counts over per-user event sequences: one
-    bucketed exchange (user % 64), in-bucket (user, ts, event_id) sort +
-    shifted compare yields adjacent (from, to) pairs, per-bucket partial
+    keyed exchange on user_id, in-group (user, ts, event_id) sort +
+    shifted compare yields adjacent (from, to) pairs, per-group partial
     counts feed a tiny (from, to) combiner. The 5x5 output is the
     next-event transition matrix a sequence-model curriculum needs."""
     from ..stages.treeagg import clean_arrow
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
-
-    def bucket(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy()
-        return batch.append_column("_bk", pa.array(u % 64))
 
     def pairs(g: pd.DataFrame) -> pa.Table:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -11717,11 +11583,7 @@ def q_transition_matrix(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return clean_arrow(out)
 
-    parts = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_bk")
-        .map_groups(pairs, batch_format="pandas")
-    )
+    parts = grouped_apply(ds, ["user_id"], pairs)
     return tree_group_agg(parts, ["from_type", "to_type"], {"n": ("n", "sum")})
 
 
@@ -11751,8 +11613,7 @@ def q_attribution_credit(sf_dir: str):
         sf_dir, "events", ["event_id", "user_id", "ts", "event_type", "value"]
     )
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy()
+    def prep(batch: pa.Table) -> pa.Table:
         vc = np.round(batch.column("value").to_numpy() * 100).astype(np.int64)
         return pa.table(
             {
@@ -11761,7 +11622,6 @@ def q_attribution_credit(sf_dir: str):
                 "event_id": batch.column("event_id"),
                 "event_type": batch.column("event_type"),
                 "vc": pa.array(vc),
-                "_bk": pa.array(u % 64),
             }
         )
 
@@ -11788,10 +11648,8 @@ def q_attribution_credit(sf_dir: str):
         out["sum_value_c"] = out["sum_value_c"].astype(np.int64)
         return clean_arrow(out)
 
-    parts = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_bk")
-        .map_groups(sweep, batch_format="pandas")
+    parts = grouped_apply(
+        ds.map_batches(prep, batch_format="pyarrow"), ["user_id"], sweep
     )
     return tree_group_agg(
         parts, ["channel"],
@@ -12386,7 +12244,7 @@ def q_geofence_transitions(sf_dir: str):
     fleet/mobility pipeline runs constantly: geocode each event, assign it
     to one of three non-overlapping fences (Tokyo-bay hotspot + two
     offshore boxes; 0 = outside), then detect per-user region CHANGES in
-    strict (ts, event_id) order. One bucketed exchange (user % 64); the
+    strict (ts, event_id) order. One keyed exchange on user_id; the
     region test and the shifted compare are pure vectorized arithmetic;
     a tiny (from_region, to_region) combiner finishes. The SQL twin
     shares the geocode + box constants verbatim, so the doubles agree
@@ -12401,14 +12259,12 @@ def q_geofence_transitions(sf_dir: str):
         r = np.zeros(len(lng), np.int64)
         for rid, (g0, g1, t0, t1) in _GEOFENCES.items():
             r[(lng >= g0) & (lng < g1) & (lat >= t0) & (lat < t1)] = rid
-        u = batch.column("user_id").to_numpy()
         return pa.table(
             {
                 "user_id": batch.column("user_id"),
                 "us": batch.column("ts").cast(pa.int64()),
                 "event_id": batch.column("event_id"),
                 "region": pa.array(r),
-                "_bk": pa.array(u % 64),
             }
         )
 
@@ -12426,10 +12282,8 @@ def q_geofence_transitions(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return clean_arrow(out)
 
-    parts = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("_bk")
-        .map_groups(sweep, batch_format="pandas")
+    parts = grouped_apply(
+        ds.map_batches(prep, batch_format="pyarrow"), ["user_id"], sweep
     )
     return tree_group_agg(
         parts, ["from_region", "to_region"], {"n": ("n", "sum")}
@@ -13080,15 +12934,13 @@ def q_bounce_rate(sf_dir: str):
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "event_type"])
     GAP = 1_800_000_000
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy()
+    def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "user_id": batch.column("user_id"),
                 "us": batch.column("ts").cast(pa.int64()),
                 "event_id": batch.column("event_id"),
                 "event_type": batch.column("event_type"),
-                "_bk": pa.array(u % 64),
             }
         )
 
@@ -13115,10 +12967,8 @@ def q_bounce_rate(sf_dir: str):
         out["n_bounces"] = out["n_bounces"].astype(np.int64)
         return clean_arrow(out)
 
-    parts = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_bk")
-        .map_groups(sweep, batch_format="pandas")
+    parts = grouped_apply(
+        ds.map_batches(prep, batch_format="pyarrow"), ["user_id"], sweep
     )
     return tree_group_agg(
         parts, ["first_type"],
@@ -13252,14 +13102,12 @@ def q_bearing_sectors(sf_dir: str):
 
     ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy()
+    def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
                 "user_id": batch.column("user_id"),
                 "us": batch.column("ts").cast(pa.int64()),
                 "event_id": batch.column("event_id"),
-                "_bk": pa.array(u % 64),
             }
         )
 
@@ -13296,10 +13144,8 @@ def q_bearing_sectors(sf_dir: str):
         out["n"] = out["n"].astype(np.int64)
         return clean_arrow(out)
 
-    parts = (
-        ds.map_batches(bucket, batch_format="pyarrow")
-        .groupby("_bk")
-        .map_groups(sweep, batch_format="pandas")
+    parts = grouped_apply(
+        ds.map_batches(prep, batch_format="pyarrow"), ["user_id"], sweep
     )
     return tree_group_agg(parts, ["sector"], {"n": ("n", "sum")})
 
@@ -15217,7 +15063,6 @@ def _lang_term_counts(sf_dir: str):
         ds.map_batches(toks, batch_format="pyarrow"),
         ["lang", "term"],
         {"n": (None, "count")},
-        n_groups=32,
     )
 
 
@@ -15971,7 +15816,6 @@ def q_hapax_ratio(sf_dir: str):
         ds.map_batches(toks, batch_format="pyarrow"),
         ["source", "term"],
         {"n": (None, "count")},
-        n_groups=32,
     )
 
     def mom(batch: pa.Table) -> pa.Table:
@@ -16269,14 +16113,6 @@ def q_edit_distance_pairs(sf_dir: str):
 
     exploded = ds.map_batches(variants, batch_format="pyarrow")
 
-    def add_grp(batch: pa.Table) -> pa.Table:
-        # coarse 256-way fan-out key over the variant string (vectorized
-        # C-level siphash); only a de-fanning key — bucket membership is
-        # still decided by the exact variant inside `pairs`
-        v = batch.column("v").to_numpy(zero_copy_only=False)
-        g = (pd.util.hash_array(v.astype(object)) % 256).astype(np.int64)
-        return batch.append_column("g", pa.array(g))
-
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["v", "key"], kind="stable")
         v = g["v"].to_numpy()
@@ -16328,9 +16164,9 @@ def q_edit_distance_pairs(sf_dir: str):
             )
         )
 
-    cand = exploded.map_batches(add_grp, batch_format="pyarrow").groupby(
-        "g"
-    ).map_groups(pairs, batch_format="pandas")
+    # keyed on the variant: bucket membership is decided by the exact
+    # variant inside `pairs`
+    cand = grouped_apply(exploded, ["v"], pairs)
     return tree_group_agg(cand, ["key_a", "key_b"], {"dist": ("dist", "min")})
 
 
@@ -16385,7 +16221,6 @@ def q_vocab_growth(sf_dir: str):
         ds.map_batches(toks, batch_format="pyarrow"),
         ["term"],
         {"fd": ("doc_id", "min")},
-        n_groups=32,
     )
 
     bounds = tree_group_agg(
@@ -16479,29 +16314,28 @@ def _basket_graph(edges, max_edges: int = 2_000_000):
     return keys, deg_nodes, deg.astype(np.int64)
 
 
-def _wedge_groups(edges):
-    """Symmetric (center, neighbor) edge Dataset bucketed by center — the
-    distributed wedge-enumeration input both wave-46 queries share."""
+def _wedge_groups(edges, fn):
+    """``fn`` over the symmetric (center ``c``, neighbor ``n``) edges,
+    keyed on the center — the distributed wedge enumeration both wave-46
+    queries share."""
 
     def sym(batch: pa.Table) -> pa.Table:
         a = batch.column("part_a").to_numpy()
         b = batch.column("part_b").to_numpy()
         c = np.concatenate([a, b])
         return pa.table(
-            {
-                "c": pa.array(c),
-                "n": pa.array(np.concatenate([b, a])),
-                "bk": pa.array(c % 64),
-            }
+            {"c": pa.array(c), "n": pa.array(np.concatenate([b, a]))}
         )
 
-    return edges.map_batches(sym, batch_format="pyarrow")
+    return grouped_apply(
+        edges.map_batches(sym, batch_format="pyarrow"), ["c"], fn
+    )
 
 
 def q_clustering_coefficient(sf_dir: str):
     """Local clustering coefficient per node of the co-purchase graph:
-    wedges enumerate DISTRIBUTED (groupby on a 64-way center bucket, one
-    segmented vectorized self-merge per group — the basket_pairs
+    wedges enumerate DISTRIBUTED (keyed on the center, one segmented
+    vectorized self-merge per group — the basket_pairs
     de-fanning shape; hot centers are the documented lever, same as every
     wedge plan); each wedge closes against the broadcast sorted edge-key
     array (ray.put once, searchsorted per batch — never reshipped). The
@@ -16548,9 +16382,7 @@ def q_clustering_coefficient(sf_dir: str):
         return clean_arrow(agg)
 
     per_node = tree_group_agg(
-        _wedge_groups(edges).groupby("bk").map_groups(
-            wedges, batch_format="pandas"
-        ),
+        _wedge_groups(edges, wedges),
         ["node"],
         {"wedges": ("wedges", "sum"), "tri": ("tri", "sum")},
     ).to_pandas()
@@ -16648,9 +16480,7 @@ def q_link_pred_scores(sf_dir: str):
         return clean_arrow(out)
 
     cn = tree_group_agg(
-        _wedge_groups(edges).groupby("bk").map_groups(
-            wedge_pairs, batch_format="pandas"
-        ),
+        _wedge_groups(edges, wedge_pairs),
         ["a", "b"],
         {"cn": ("cn", "sum")},
     )

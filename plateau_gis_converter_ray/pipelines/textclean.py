@@ -22,10 +22,10 @@ import json
 import os
 import time
 
-import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..stages.treeagg import grouped_apply
 from ..state.manifest import PartitionManifest, atomic_write_dir
 
 STAGES = ("filter", "dedup", "decontam", "pack")
@@ -139,24 +139,12 @@ def run_text_clean(sf_dir: str, out_dir: str, budget: int = 256) -> dict:
         )
         rows_in = docs.count()
 
-        def hkey(batch: pa.Table) -> pa.Table:
-            t = np.asarray(batch.column("text").to_pylist(), dtype=object)
-            return batch.append_column(
-                "h", pa.array(pd.util.hash_array(t).astype(np.int64))
-            )
-
         def keep_min(df: pd.DataFrame) -> pd.DataFrame:
             # exact within the hash group: dedup on the TEXT, not the hash
             df = df.sort_values(["text", "doc_id"], kind="stable")
-            return df.drop_duplicates("text", keep="first").drop(
-                columns=["h"]
-            )
+            return df.drop_duplicates("text", keep="first")
 
-        exact = (
-            docs.map_batches(hkey, batch_format="pyarrow")
-            .groupby("h")
-            .map_groups(keep_min, batch_format="pandas")
-        )
+        exact = grouped_apply(docs, ["text"], keep_min)
         exact_dir = os.path.join(out_dir, "_exact")
         n_exact = _write_docs(exact, exact_dir)
 

@@ -18,6 +18,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .treeagg import grouped_apply
+
 
 def exact_dedup_docs(sf_dir: str):
     """Exact dedup of documents by text: keep min(doc_id) per distinct text.
@@ -98,10 +100,6 @@ def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.5):
 
     exploded = sigs.map_batches(explode_bands, batch_format="pyarrow")
 
-    def add_grp(batch: pa.Table) -> pa.Table:
-        b = batch.column("bucket").to_numpy()
-        return batch.append_column("g", pa.array(b % 256))
-
     def pairs_block(g: pd.DataFrame) -> pd.DataFrame:
         """All in-bucket pairs for EVERY bucket of this coarse hash group
         in one sorted segmented pass (the de-fanning pattern: the
@@ -135,12 +133,10 @@ def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.5):
             )
         )
 
-    cand = exploded.map_batches(add_grp, batch_format="pyarrow").groupby(
-        "g"
-    ).map_groups(pairs_block, batch_format="pandas")
+    cand = grouped_apply(exploded, ["bucket"], pairs_block)
 
     # global candidate-pair dedup BEFORE the (expensive) verify: a pair can
-    # surface from several bands — combiner + tree merge, no repartition(1)
+    # surface from several bands — combiner + tree merge
     from .treeagg import tree_group_agg
 
     cand = tree_group_agg(cand, ["doc_a", "doc_b"], {"n_buckets": (None, "count")})
@@ -304,10 +300,6 @@ def simhash_near_dup(sf_dir: str, max_hamming: int = 8, prefix_bits: int = 12,
 
     bucketed = sigs.map_batches(bucket, batch_format="pyarrow")
 
-    def add_grp(batch: pa.Table) -> pa.Table:
-        b = batch.column("bucket").to_numpy()
-        return batch.append_column("g", pa.array(b % 256))
-
     def pairs_block(g: pd.DataFrame) -> pd.DataFrame:
         """All in-bucket pairs for every prefix bucket of this coarse
         hash group in one sorted segmented pass (de-fanning: was one
@@ -347,9 +339,7 @@ def simhash_near_dup(sf_dir: str, max_hamming: int = 8, prefix_bits: int = 12,
             )
         )
 
-    cand = bucketed.map_batches(add_grp, batch_format="pyarrow").groupby(
-        "g"
-    ).map_groups(pairs_block, batch_format="pandas")
+    cand = grouped_apply(bucketed, ["bucket"], pairs_block)
 
     # cross-rotation pair dedup: parallel grouped distinct (see
     # treeagg.grouped_distinct — pair sets are fact-sized)
@@ -570,12 +560,6 @@ def phash_hamming_near_dup(image_files: list[str], max_hamming: int = 3,
                 "img": pa.array(np.tile(iid, n_bands)),
                 "phash": pa.array(np.tile(ph.astype(np.int64), n_bands)),
                 "band_key": pa.array(keys),
-                # 64 coarse shuffle groups (a function of band_key, so a
-                # band bucket never splits) — the per-group fan stays
-                # bounded and each group resolves ALL its band buckets in
-                # one vectorized segmented pass, not one pandas call per
-                # bucket (the r2-verdict de-fanning pattern)
-                "grp": pa.array(keys % 64),
             }
         )
 
@@ -661,7 +645,10 @@ def phash_hamming_near_dup(image_files: list[str], max_hamming: int = 3,
             }
         ).drop_duplicates(["img_a", "img_b"])
 
-    cand = bucketed.groupby("grp").map_groups(verify, batch_format="pandas")
+    # keyed on band_key, so a band bucket never splits; each call resolves
+    # ALL its band buckets in one vectorized segmented pass, not one pandas
+    # call per bucket (the r2-verdict de-fanning pattern)
+    cand = grouped_apply(bucketed, ["band_key"], verify)
     # cross-band dedup: the pair set is FACT-SIZED (dup-dense corpora can
     # emit tens of millions of pairs), so the distinct must be parallel —
     # the agg tree's fan-1 final merge would funnel it through one task

@@ -127,7 +127,7 @@ def _verify_ed1(ta: np.ndarray, tb: np.ndarray) -> np.ndarray:
     return ok
 
 
-def fuzzy_token_join(sf: float, n_buckets: int = 64):
+def fuzzy_token_join(sf: float):
     """All caption-token pairs at Levenshtein distance exactly 1
     (distinct tokens, so ed 0 is impossible). Output: (term_a, term_b)
     with term_a < term_b.
@@ -139,7 +139,7 @@ def fuzzy_token_join(sf: float, n_buckets: int = 64):
     exchange this removes carried the full pair set (1.4M string pairs
     at sf0.1); pytest still pins the result equal to the O(V^2) brute."""
     from ..sources.images import ensure_image_table, read_images
-    from .treeagg import clean_arrow, tree_group_agg
+    from .treeagg import clean_arrow, grouped_apply, tree_group_agg
 
     path = ensure_image_table(sf)
     ds = read_images(path, columns=["caption"])
@@ -164,10 +164,7 @@ def fuzzy_token_join(sf: float, n_buckets: int = 64):
 
     def fanout(batch: pa.Table) -> pa.Table:
         terms = np.asarray(batch.column("term").to_pylist(), dtype=object)
-        t = deletion_variants(terms)
-        v = np.asarray(t.column("variant").to_pylist(), dtype=object)
-        b = (pd.util.hash_array(v) % n_buckets).astype(np.int64)
-        return t.append_column("b", pa.array(b))
+        return deletion_variants(terms)
 
     fanned = vocab.map_batches(fanout, batch_format="pyarrow")
 
@@ -205,9 +202,7 @@ def fuzzy_token_join(sf: float, n_buckets: int = 64):
         out = pd.DataFrame({"term_a": lo, "term_b": hi})
         return clean_arrow(out.astype({"term_a": str, "term_b": str}))
 
-    return fanned.groupby("b").map_groups(
-        bucket_pairs, batch_format="pandas"
-    )
+    return grouped_apply(fanned, ["variant"], bucket_pairs)
 
 
 from ..kernels.segments import segmented_arange as _ramp  # noqa: E402

@@ -20,6 +20,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .treeagg import grouped_apply
+
 QUANT = 100.0  # embedding quantization: round(e * QUANT) -> int64
 
 
@@ -59,6 +61,13 @@ class EmbedKNN:
         )
 
 
+# Pair budget of the quadratic path: block_pair_join ran 1.7-1.8M pairs/s
+# end to end at sf0.1 (2,000 embeddings, 1,999,000 pairs in 1.11-1.16 s, both
+# registry callers, 4 CPUs), so 10^9 pairs is ~10 minutes of 4-CPU work, and
+# each block-pair task then holds (n/8)^2 ~ 3.1e7 int64 distances (~250 MB).
+PAIR_BUDGET = 1_000_000_000
+
+
 def block_pair_join(ds, pair_fn, out_val: str, n_blocks: int = 8):
     """Distributed exact all-pairs self-join via triangle blocking.
 
@@ -77,7 +86,17 @@ def block_pair_join(ds, pair_fn, out_val: str, n_blocks: int = 8):
     approximate paths (:func:`ivf_self_knn`, SimHash LSH) instead.
     ``pair_fn(qa, ia, qb, ib) -> (sel_a, sel_b, val)`` returns index pairs
     into its two quantized matrices plus the emitted value column.
+    Raises ``ValueError`` above :data:`PAIR_BUDGET` pairs, counted from
+    metadata only (parquet footers, in-memory blocks), never by executing
+    the plan; a plan without a metadata row count passes unchecked.
     """
+    n = ds._meta_count()
+    if n is not None and n * (n - 1) // 2 > PAIR_BUDGET:
+        raise ValueError(
+            f"block_pair_join: {n:,} rows make {n * (n - 1) // 2:,} pairs, "
+            f"above PAIR_BUDGET={PAIR_BUDGET:,}; use embedding_lsh_near_dup "
+            "(LSH-bucketed candidates, exact verify) at this size"
+        )
 
     def explode(batch: pa.Table) -> pa.Table:
         ids = batch.column("vec_id").to_numpy().astype(np.int64)
@@ -619,10 +638,6 @@ def embedding_lsh_near_dup(ds, dist2_threshold: int,
 
     fanned = ds.map_batches(fanout, batch_format="pyarrow")
 
-    def add_grp(batch: pa.Table) -> pa.Table:
-        b = batch.column("bucket").to_numpy()
-        return batch.append_column("g", pa.array(b % 256))
-
     def verify_block(g: pd.DataFrame) -> pd.DataFrame:
         """Exact verify for EVERY bucket of a coarse hash group in one
         segmented pass: candidate (a, b) row pairs come from one sort +
@@ -667,9 +682,7 @@ def embedding_lsh_near_dup(ds, dist2_threshold: int,
             )
         )
 
-    cand = fanned.map_batches(add_grp, batch_format="pyarrow").groupby(
-        "g"
-    ).map_groups(verify_block, batch_format="pandas")
+    cand = grouped_apply(fanned, ["bucket"], verify_block)
     # cross-table dedup: parallel grouped distinct (pair sets are
     # fact-sized; the agg tree's fan-1 final merge would serialize them)
     from .treeagg import grouped_distinct
@@ -862,7 +875,6 @@ def nearest_neighbor_dist(sf_dir: str, sample_mod: int = 97,
                 "x": pa.array(r[:, 2]),
                 "y": pa.array(r[:, 3]),
                 "is_s": pa.array(r[:, 4]),
-                "_cb": pa.array(r[:, 0] % 256),
             }
         )
 
@@ -907,12 +919,9 @@ def nearest_neighbor_dist(sf_dir: str, sample_mod: int = 97,
                           "d2": r[:, 2]})
         )
 
-    ring = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("_cb")
-        .map_groups(ring_nn, batch_format="pandas")
-        .to_pandas()  # sample-sized: n / sample_mod rows max
-    )
+    ring = grouped_apply(
+        ds.map_batches(prep, batch_format="pyarrow"), ["cell"], ring_nn
+    ).to_pandas()  # sample-sized: n / sample_mod rows max
     # lexicographic (d2, nn_id) min across the (<= 9-cell) partials
     ring = ring.sort_values(["event_id", "d2", "nn_id"], kind="stable")
     best = ring.groupby("event_id", as_index=False).first()
@@ -1014,7 +1023,7 @@ def knn_dist_topk(sf_dir: str, k: int = 4, sample_mod: int = 97,
         return pa.table(
             {"cell": pa.array(r[:, 0]), "eid": pa.array(r[:, 1]),
              "x": pa.array(r[:, 2]), "y": pa.array(r[:, 3]),
-             "is_s": pa.array(r[:, 4]), "_cb": pa.array(r[:, 0] % 256)}
+             "is_s": pa.array(r[:, 4])}
         )
 
     def ring_topk(g: pd.DataFrame) -> pa.Table:
@@ -1055,12 +1064,9 @@ def knn_dist_topk(sf_dir: str, k: int = 4, sample_mod: int = 97,
             {"event_id": r[:, 0], "rank": r[:, 1],
              "nn_id": r[:, 2], "d2": r[:, 3]}))
 
-    ring = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("_cb")
-        .map_groups(ring_topk, batch_format="pandas")
-        .to_pandas()  # <= k * sample rows
-    )
+    ring = grouped_apply(
+        ds.map_batches(prep, batch_format="pyarrow"), ["cell"], ring_topk
+    ).to_pandas()  # <= k * sample rows
     counts = ring.groupby("event_id")["rank"].max()
     kth = ring[ring["rank"] == k].set_index("event_id")["d2"]
     resolved_ids = set(

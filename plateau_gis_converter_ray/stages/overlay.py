@@ -35,7 +35,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from .treeagg import clean_arrow, grouped_distinct
+from .treeagg import clean_arrow, grouped_apply, grouped_distinct
 
 # integer micro-degree domain from kernels/geocode (events geocoding):
 # x in [0, 240000), y in [0, 220000)
@@ -170,17 +170,12 @@ def seg_intersect_join(sf_dir: str, max_len: int = 30000, cell: int = 30000):
                 "ts_us": pa.array(ts),
                 "x": pa.array((eid * 9973) % _DOM_X),
                 "y": pa.array((eid * 7919) % _DOM_Y),
-                "bk": pa.array(
-                    (batch.column("user_id").to_numpy() % 64).astype(np.int64)
-                ),
             }
         )
 
-    segs = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(lambda g: _segments_from_events(g, max_len),
-                    batch_format="pandas")
+    segs = grouped_apply(
+        ds.map_batches(prep, batch_format="pyarrow"), ["user_id"],
+        lambda g: _segments_from_events(g, max_len),
     )
     exploded = segs.map_batches(
         lambda b: _explode_to_cells(b, cell), batch_format="pyarrow"
@@ -242,10 +237,6 @@ def dbscan_points(sf_dir: str, eps: int | None = None, min_pts: int = 4,
         return pa.table(
             {
                 "cellk": pa.array(cellk),
-                # coarse exchange key: whole cells co-locate, but one task
-                # handles ~n_cells/251 cells vectorized (de-fanning rule —
-                # a per-cell map_groups fan was 6.0s at 12.5k cells)
-                "cb": pa.array(cellk % 251),
                 "pid": pa.array(eid[rep]),
                 "x": pa.array(x[rep]),
                 "y": pa.array(y[rep]),
@@ -293,10 +284,11 @@ def dbscan_points(sf_dir: str, eps: int | None = None, min_pts: int = 4,
     # pair rows (pid, n_nbrs, nbr): the ring replication makes every true
     # eps-neighbor visible in the home cell, counts are exact, and a point
     # is owner in exactly ONE cell so rows are already distinct.
-    pairs = (
-        ds.map_batches(prep, batch_format="pyarrow")
-        .groupby("cb")
-        .map_groups(cell_bucket, batch_format="pandas")
+    # keyed on cellk: whole cells co-locate, and one call handles many cells
+    # vectorized (de-fanning rule — a per-cell map_groups fan was 6.0s at
+    # 12.5k cells)
+    pairs = grouped_apply(
+        ds.map_batches(prep, batch_format="pyarrow"), ["cellk"], cell_bucket
     ).materialize()
 
     # attach the NEIGHBOR's core flag: one coarse-hash exchange on nbr;
@@ -325,20 +317,7 @@ def dbscan_points(sf_dir: str, eps: int | None = None, min_pts: int = 4,
             }
         )
 
-    def add_bk(col):
-        def f(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "_bk", pa.array((batch.column(col).to_numpy() % 64))
-            )
-
-        return f
-
-    flagged = (
-        pairs.map_batches(add_bk("nbr"), batch_format="pyarrow")
-        .groupby("_bk")
-        .map_groups(attach_nbr_flag, batch_format="pandas")
-        .materialize()
-    )
+    flagged = grouped_apply(pairs, ["nbr"], attach_nbr_flag).materialize()
 
     from .graph import connected_components
 
@@ -424,12 +403,10 @@ def dbscan_points(sf_dir: str, eps: int | None = None, min_pts: int = 4,
             }
         )
 
-    border_lab = (
+    border_lab = grouped_apply(
         flagged.map_batches(border_rows, batch_format="pyarrow")
-        .union(labels.map_batches(label_rows, batch_format="pyarrow"))
-        .map_batches(add_bk("k"), batch_format="pyarrow")
-        .groupby("_bk")
-        .map_groups(resolve_border, batch_format="pandas")
+        .union(labels.map_batches(label_rows, batch_format="pyarrow")),
+        ["k"], resolve_border,
     )
 
     def core_label_rows(batch: pa.Table) -> pa.Table:
@@ -461,13 +438,11 @@ def dbscan_points(sf_dir: str, eps: int | None = None, min_pts: int = 4,
             }
         )
 
-    return (
+    return grouped_apply(
         pairs.map_batches(point_rows, batch_format="pyarrow")
         .union(labels.map_batches(core_label_rows, batch_format="pyarrow"))
-        .union(border_lab)
-        .map_batches(add_bk("pid"), batch_format="pyarrow")
-        .groupby("_bk")
-        .map_groups(final_bucket, batch_format="pandas")
+        .union(border_lab),
+        ["pid"], final_bucket,
     )
 
 

@@ -17,7 +17,8 @@ the published FAISS/Jegou-2011 design re-expressed Ray-Data-first:
 - **search** as broadcast-LUT ADC: per batch, distances are LUT gathers +
   sums over uint8 codes (integer-exact — centroids and queries are
   quantized to int64, so partial top-k merge order can't flip bits), with
-  block-level top-k pruning before the single small merge.
+  block-level top-k pruning before the combiner tree's small merge
+  (``tree_custom_agg``).
 
 All arithmetic is int64 (exact); ties break on vec_id — deterministic
 across block orders and re-runs (pytest-pinned).
@@ -30,6 +31,7 @@ import pandas as pd
 import pyarrow as pa
 
 from .knn import quantize
+from .treeagg import tree_custom_agg
 
 
 def _sample_mask(vec_id: np.ndarray, sample_mod: int) -> np.ndarray:
@@ -114,7 +116,9 @@ def _encode_codes(x: np.ndarray, books: np.ndarray) -> np.ndarray:
 
 
 def _merge_topk(df: "pd.DataFrame", topk: int) -> "pd.DataFrame":
-    """Final per-query top-k fold shared by both ADC searchers."""
+    """Per-query top-k fold shared by both ADC searchers: the merge step of
+    their combiner tree. Order-free (a full (qid, adc_dist, ann_id) sort)
+    and idempotent on its own output (``rank`` is recomputed)."""
     from .treeagg import clean_arrow
 
     df = df.sort_values(["qid", "adc_dist", "ann_id"], kind="stable")
@@ -159,8 +163,9 @@ def pq_adc_search(codes_ds, books: np.ndarray, queries: dict, topk: int = 10):
     """ADC top-k per query over the coded corpus.
 
     ``queries``: {"qid": (Q,), "vecs": (Q, dim) float}. Per batch: distance =
-    sum_m LUT[q, m, code_m] (int64 gathers), block-level top-k prune, ONE
-    small final merge (Q x topk x blocks rows). Ties: smaller vec_id wins.
+    sum_m LUT[q, m, code_m] (int64 gathers), block-level top-k prune, then
+    the combiner tree's merge (Q x topk x blocks rows; one merge while the
+    plan bounds the input at 64 blocks). Ties: smaller vec_id wins.
     """
     import ray
 
@@ -181,12 +186,12 @@ def pq_adc_search(codes_ds, books: np.ndarray, queries: dict, topk: int = 10):
         )
     ref = ray.put((qids, lut))
 
-    def block_topk(batch: pa.Table) -> pd.DataFrame:
-        if batch.num_rows == 0:
+    def block_topk(batch: pd.DataFrame) -> pd.DataFrame:
+        if not len(batch):
             return _empty_topk()
         qids_, lut_ = ray.get(ref)
-        vid = batch.column("vec_id").to_numpy()
-        raw = batch.column("code").to_numpy(zero_copy_only=False)
+        vid = batch["vec_id"].to_numpy()
+        raw = batch["code"].to_numpy()
         codes = np.frombuffer(b"".join(raw), dtype=np.uint8).reshape(-1, n_sub)
         # rows sorted by vec_id so a STABLE per-query sort on distance
         # realises the (dist, vec_id) composite order exactly — an
@@ -207,9 +212,8 @@ def pq_adc_search(codes_ds, books: np.ndarray, queries: dict, topk: int = 10):
         }
         return clean_arrow(pd.DataFrame(rows))
 
-    partials = codes_ds.map_batches(block_topk, batch_format="pyarrow")
-    return partials.repartition(1).map_batches(
-        lambda df: _merge_topk(df, topk), batch_format="pandas", batch_size=None
+    return tree_custom_agg(
+        codes_ds, block_topk, lambda df: _merge_topk(df, topk)
     )
 
 
@@ -328,13 +332,13 @@ def ivfpq_adc_search(codes_ds, coarse: np.ndarray, books: np.ndarray,
     SENTINEL = np.int64(1) << np.int64(60)
     ref = ray.put((qids, lut, probed))
 
-    def block_topk(batch: pa.Table) -> pd.DataFrame:
-        if batch.num_rows == 0:
+    def block_topk(batch: pd.DataFrame) -> pd.DataFrame:
+        if not len(batch):
             return _empty_topk()
         qids_, lut_, probed_ = ray.get(ref)
-        vid = batch.column("vec_id").to_numpy()
-        bkt = batch.column("bucket").to_numpy()
-        raw = batch.column("code").to_numpy(zero_copy_only=False)
+        vid = batch["vec_id"].to_numpy()
+        bkt = batch["bucket"].to_numpy()
+        raw = batch["code"].to_numpy()
         codes = np.frombuffer(b"".join(raw), dtype=np.uint8).reshape(-1, n_sub)
         # vec_id-sorted rows + stable per-query sort = exact (dist, vec_id)
         # composite order even with >topk boundary-distance ties (see
@@ -358,7 +362,6 @@ def ivfpq_adc_search(codes_ds, coarse: np.ndarray, books: np.ndarray,
         )
         return clean_arrow(rows[rows["adc_dist"] < SENTINEL])
 
-    partials = codes_ds.map_batches(block_topk, batch_format="pyarrow")
-    return partials.repartition(1).map_batches(
-        lambda df: _merge_topk(df, topk), batch_format="pandas", batch_size=None
+    return tree_custom_agg(
+        codes_ds, block_topk, lambda df: _merge_topk(df, topk)
     )

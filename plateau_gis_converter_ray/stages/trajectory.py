@@ -29,6 +29,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from .treeagg import grouped_apply
+
 # integer micro-degree geocode shared with stages/overlay.py and the SQL
 # twins: x = (event_id * 9973) % 240000, y = (event_id * 7919) % 220000
 _DOM_X = 240000
@@ -302,29 +304,31 @@ def dtw_brute(a: np.ndarray, b: np.ndarray) -> int:
     return dp[L][L]
 
 
-def track_dtw_pairs(sf_dir: str):
-    """DTW similarity join over user tracks: fixed-length tracks in one
-    bucketed exchange, start-cell blocking, vectorized pair DP per cell."""
+def _fixed_tracks(sf_dir: str):
+    """:func:`tracks_fixed` rows of every user, built in one keyed
+    exchange on user_id."""
     from ..sources.tables import read_table
 
     ev = read_table(sf_dir, "events", ["event_id", "user_id", "ts"])
 
     def prep(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy()
         return pa.table(
             {
                 "user_id": batch.column("user_id"),
                 "event_id": batch.column("event_id"),
                 "ts_us": batch.column("ts").cast(pa.int64()),
-                "bk": pa.array(u % 64),
             }
         )
 
-    tracks = (
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(tracks_fixed, batch_format="pandas")
+    return grouped_apply(
+        ev.map_batches(prep, batch_format="pyarrow"), ["user_id"], tracks_fixed
     )
+
+
+def track_dtw_pairs(sf_dir: str):
+    """DTW similarity join over user tracks: fixed-length tracks in one
+    bucketed exchange, start-cell blocking, vectorized pair DP per cell."""
+    tracks = _fixed_tracks(sf_dir)
     return tracks.groupby("cell").map_groups(
         dtw_pairs_cell, batch_format="pandas"
     )
@@ -412,26 +416,7 @@ def track_hausdorff_pairs(sf_dir: str):
     :func:`track_dtw_pairs` (fixed-width track rows, start-cell blocking),
     minimax point-set distance per pair. Oracle-gated — the SQL twin
     rebuilds the tracks with ROW_NUMBER and takes the same max-of-mins."""
-    from ..sources.tables import read_table
-
-    ev = read_table(sf_dir, "events", ["event_id", "user_id", "ts"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy()
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "event_id": batch.column("event_id"),
-                "ts_us": batch.column("ts").cast(pa.int64()),
-                "bk": pa.array(u % 64),
-            }
-        )
-
-    tracks = (
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(tracks_fixed, batch_format="pandas")
-    )
+    tracks = _fixed_tracks(sf_dir)
     return tracks.groupby("cell").map_groups(
         hausdorff_pairs_cell, batch_format="pandas"
     )
@@ -460,26 +445,7 @@ def track_frechet_pairs(sf_dir: str):
     per cell) with the minimax coupling recurrence. Scale lever is the
     same DTW_CELL blocking size; results are exact int64 (squared units)
     so the pytest brute pin is bit-identical."""
-    from ..sources.tables import read_table
-
-    ev = read_table(sf_dir, "events", ["event_id", "user_id", "ts"])
-
-    def prep(batch: pa.Table) -> pa.Table:
-        u = batch.column("user_id").to_numpy()
-        return pa.table(
-            {
-                "user_id": batch.column("user_id"),
-                "event_id": batch.column("event_id"),
-                "ts_us": batch.column("ts").cast(pa.int64()),
-                "bk": pa.array(u % 64),
-            }
-        )
-
-    tracks = (
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("bk")
-        .map_groups(tracks_fixed, batch_format="pandas")
-    )
+    tracks = _fixed_tracks(sf_dir)
     return tracks.groupby("cell").map_groups(
         frechet_pairs_cell, batch_format="pandas"
     )
@@ -490,7 +456,7 @@ def track_frechet_pairs(sf_dir: str):
 
 
 def _prep_cells(batch: pa.Table, cell_w: int, cell_h: int) -> pa.Table:
-    """Point rows with grid-cell assignment and a user bucket key."""
+    """Point rows with grid-cell assignment."""
     eid = batch.column("event_id").to_numpy()
     u = batch.column("user_id").to_numpy()
     x, y = _xy(eid)
@@ -501,7 +467,6 @@ def _prep_cells(batch: pa.Table, cell_w: int, cell_h: int) -> pa.Table:
             "us": batch.column("ts").cast(pa.int64()),
             "cx": pa.array(x // cell_w),
             "cy": pa.array(y // cell_h),
-            "bk": pa.array(u % 64),
         }
     )
 
@@ -511,10 +476,10 @@ def dwell_segments(sf_dir: str, cell_w: int = 60000, cell_h: int = 55000,
     """Stay-point (dwell) detection: maximal runs of consecutive points
     (per user, (ts, event_id) order) inside the SAME grid cell, kept when
     the run has >= ``min_pts`` points. The classic trajectory-mining
-    gaps-and-islands: one bucketed exchange (user % 64), inside a bucket
+    gaps-and-islands: one keyed exchange on user_id, inside a group
     the run segmentation is a shifted compare + cumsum + bincount — no
-    per-user Python. At 10^12 rows the bucket count is the parallelism
-    lever and per-bucket memory is O(bucket rows)."""
+    per-user Python. The group count follows the input's blocks, so
+    per-group memory stays about one block."""
     from ..sources.tables import read_table
 
     ev = read_table(sf_dir, "events", ["event_id", "user_id", "ts"])
@@ -546,12 +511,11 @@ def dwell_segments(sf_dir: str, cell_w: int = 60000, cell_h: int = 55000,
             }
         )
 
-    return (
+    return grouped_apply(
         ev.map_batches(
             lambda b: _prep_cells(b, cell_w, cell_h), batch_format="pyarrow"
-        )
-        .groupby("bk")
-        .map_groups(sweep, batch_format="pandas")
+        ),
+        ["user_id"], sweep,
     )
 
 
@@ -593,12 +557,11 @@ def od_matrix(sf_dir: str, cell_w: int = 60000, cell_h: int = 55000,
 
         return clean_arrow(df)
 
-    partial = (
+    partial = grouped_apply(
         ev.map_batches(
             lambda b: _prep_cells(b, cell_w, cell_h), batch_format="pyarrow"
-        )
-        .groupby("bk")
-        .map_groups(sweep, batch_format="pandas")
+        ),
+        ["user_id"], sweep,
     )
     return tree_group_agg(
         partial, ["o_x", "o_y", "d_x", "d_y"], {"n_trips": ("n_trips", "sum")}
@@ -778,14 +741,12 @@ def hmm_map_match(sf_dir: str):
                 "user_id": t.column("user_id"),
                 "event_id": t.column("event_id"),
                 "ts_us": t.column("ts").cast(pa.int64()),
-                "_bk": pa.array(t.column("user_id").to_numpy() % 64),
             }
         )
 
-    tracks = (
-        ev.map_batches(prep, batch_format="pyarrow")
-        .groupby("_bk")
-        .map_groups(lambda g: tracks_fixed(g, HMM_L), batch_format="pandas")
+    tracks = grouped_apply(
+        ev.map_batches(prep, batch_format="pyarrow"), ["user_id"],
+        lambda g: tracks_fixed(g, HMM_L),
     )
 
     def match(batch: pa.Table) -> pa.Table:

@@ -1,16 +1,25 @@
-"""The engine's one combiner tree for exact group-aggregates.
+"""The engine's one combiner tree and one keyed group-apply.
 
-A per-block combiner collapses each block to one row per key BEFORE any
-exchange (``pa.Table.group_by`` — the C++ hash-aggregate kernel, no pandas
-round-trip), then merge levels (``repartition(fan)`` -> re-aggregate)
-reduce the already-small partials. Exactness holds because every op is
-order-free (sum of ints / min / max / count). The merge levels come from
-the input's logical plan (:func:`_merge_levels`), not from the caller: one
-level while at most 64 blocks enter the combiner, 8 -> 1 up to 512 blocks,
-64 -> 8 -> 1 above. Every exact group-aggregate over a bounded key space
-(the flagship's tile merge, the registry queries) goes through
+Combiner tree: a per-block combiner collapses each block to one row per
+key BEFORE any exchange (``pa.Table.group_by`` — the C++ hash-aggregate
+kernel, no pandas round-trip), then merge levels (``repartition(fan)`` ->
+re-aggregate) reduce the already-small partials. Exactness holds because
+every op is order-free (sum of ints / min / max / count). The merge levels
+come from the input's logical plan (:func:`_merge_levels`), not from the
+caller: one level while at most 64 blocks enter the combiner, 8 -> 1 up to
+512 blocks, 64 -> 8 -> 1 above. Every exact group-aggregate over a bounded
+key space (the flagship's tile merge, the registry queries) goes through
 :func:`tree_group_agg`, or :func:`tree_custom_agg` for merges the op table
-cannot express; fact-sized key spaces take :func:`grouped_group_agg`.
+cannot express (top-k folds, arg-min rows, sketches).
+
+Keyed group-apply: :func:`grouped_apply` co-locates every row of a key in
+one ``fn`` call — a hash of the key columns, one ``groupby().map_groups``
+exchange. Its group count also comes from the plan (:func:`_group_count`):
+64 while the input is at most 64 blocks, one group per block above, so a
+group holds about one input block at any scale. Fact-sized key spaces
+(:func:`grouped_group_agg`, :func:`grouped_distinct`) and every
+co-location bucket (per-user sweeps, gram/term/variant buckets, cell
+buckets) go through it.
 """
 
 from __future__ import annotations
@@ -153,14 +162,51 @@ def _col_hash(t: pa.Table, cols: list[str], n_groups: int) -> np.ndarray:
     return (h % np.uint64(n_groups)).astype(np.int64)
 
 
-def grouped_distinct(ds, cols: list[str], n_groups: int = 128):
+def _group_count(ds) -> int:
+    """Hash groups for :func:`grouped_apply`: 64 while the plan bounds the
+    input at 64 blocks or has no bound, else one group per input block."""
+    from .joins import _block_bound
+
+    n = _block_bound(ds)
+    return 64 if n is None or n <= 64 else n
+
+
+def grouped_apply(ds, keys: list[str], fn, batch_format: str = "pandas"):
+    """The engine's one keyed group-apply: ``fn`` sees every row of a key
+    in ONE call, together with the rows of whatever other keys hash to the
+    same group, so it must give the same rows whichever keys share a call.
+    Rows are tagged ``_g = _col_hash(keys)`` over :func:`_group_count`
+    groups and exchanged by ``groupby("_g").map_groups``; ``fn`` receives
+    ``ds``'s own columns (the tag is dropped before the call) in
+    ``batch_format``, as Ray's ``map_groups`` gives them."""
+    n = _group_count(ds)
+
+    def tag(t: pa.Table) -> pa.Table:
+        return t.append_column("_g", pa.array(_col_hash(t, keys, n)))
+
+    if batch_format == "pandas":
+        def call(batch):
+            return fn(batch.drop(columns="_g"))
+    else:
+        def call(batch):
+            return fn(batch.drop_columns(["_g"]))
+    call.__name__ = getattr(fn, "__name__", "call")  # Ray's operator name
+
+    return (
+        ds.map_batches(tag, batch_format="pyarrow", batch_size=None)
+        .groupby("_g")
+        .map_groups(call, batch_format=batch_format)
+    )
+
+
+def grouped_distinct(ds, cols: list[str]):
     """Parallel exact DISTINCT on ``cols``.
 
     The agg tree's serial fan-1 final merge is the right shape for
     BOUNDED aggregate outputs, but a distinct whose output is fact-sized
     (near-dup pair sets, CC edge frontiers) would funnel every row
     through one task. Here each block dedups locally (Arrow hash-group
-    with no aggregates == DISTINCT), then a hash-grouped exchange
+    with no aggregates == DISTINCT), then :func:`grouped_apply`
     co-locates equal keys and the reduce is ONE more hash-group per hash
     group — fully parallel at every level. Row order is not defined (set
     semantics).
@@ -168,47 +214,30 @@ def grouped_distinct(ds, cols: list[str], n_groups: int = 128):
 
     def local(t: pa.Table) -> pa.Table:
         out = _drop_null_keys(t.select(cols), cols).group_by(cols).aggregate([])
-        return out.append_column(
-            "_g", pa.array(_col_hash(out, cols, n_groups))
-        ).replace_schema_metadata(None)
+        return out.replace_schema_metadata(None)
 
     def reduce(t: pa.Table) -> pa.Table:
-        return (
-            t.select(cols).group_by(cols).aggregate([]).replace_schema_metadata(None)
-        )
+        return t.group_by(cols).aggregate([]).replace_schema_metadata(None)
 
-    return (
-        ds.map_batches(local, batch_format="pyarrow", batch_size=None)
-        .groupby("_g")
-        .map_groups(reduce, batch_format="pyarrow")
-    )
+    local_ds = ds.map_batches(local, batch_format="pyarrow", batch_size=None)
+    return grouped_apply(local_ds, cols, reduce, batch_format="pyarrow")
 
 
-def grouped_group_agg(ds, group_cols: list[str], agg_spec: dict,
-                      n_groups: int = 64):
+def grouped_group_agg(ds, group_cols: list[str], agg_spec: dict):
     """tree_group_agg for FACT-SIZED key spaces.
 
-    Same per-block combiner, but the merge is a coarse-hash groupby whose
+    Same per-block combiner, but the merge is :func:`grouped_apply`, whose
     reduce handles ALL of a hash group's keys in one vectorized pass —
-    the output lands in up to ``n_groups`` parallel blocks instead of the
-    tree's single final block, and no task ever sees the whole key space.
-    Use this when |distinct keys| grows with the data (content hashes,
-    (doc, term) pairs, near-dup pair sets); keep ``tree_group_agg`` for
-    BOUNDED aggregates, where the tree's repartitions are cheaper than a
-    sort exchange. ``agg_spec`` format matches tree_group_agg."""
-    first, again, outs = _spec_plans(group_cols, agg_spec)
-
-    def partial(t: pa.Table) -> pa.Table:
-        out = _arrow_group_agg(t, group_cols, first, outs)
-        return out.append_column(
-            "_g", pa.array(_col_hash(out, group_cols, n_groups))
-        ).replace_schema_metadata(None)
+    the output lands in parallel blocks instead of the tree's single
+    final block, and no task ever sees the whole key space. Use this
+    when |distinct keys| grows with the data (content hashes, (doc, term)
+    pairs, near-dup pair sets); keep ``tree_group_agg`` for BOUNDED
+    aggregates, where the tree's repartitions are cheaper than a sort
+    exchange. ``agg_spec`` format matches tree_group_agg."""
+    _, again, outs = _spec_plans(group_cols, agg_spec)
 
     def merge(t: pa.Table) -> pa.Table:
         return _arrow_group_agg(t, group_cols, again, outs)
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("_g")
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    partials = combine_blocks(ds, group_cols, agg_spec)
+    return grouped_apply(partials, group_cols, merge, batch_format="pyarrow")

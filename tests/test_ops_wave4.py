@@ -58,7 +58,11 @@ def _assert_same(a: pd.DataFrame, b: pd.DataFrame):
      "quadkey_encode", "tile_pyramid_rollup",
      # exact group-aggregates on the shared combiner tree
      "props_extract", "codelist_resolve", "join_orders_customers",
-     "pip_mesh_bbox"],
+     "pip_mesh_bbox",
+     # keyed group-applies on treeagg.grouped_apply
+     "asof_latest_order", "range_join_recent", "top_terms_per_doc",
+     "decile_bucket", "user_event_sequence", "dup_spans", "funnel_steps",
+     "ngram_lm_score", "basket_pairs", "bounce_rate", "bearing_sectors"],
 )
 def test_wave4_oracle_parity(ray_session, name):
     _assert_same(_ray_df(name), _oracle_df(name))

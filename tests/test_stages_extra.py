@@ -315,6 +315,25 @@ def test_embed_lsh_near_dup_recall_and_soundness(ray_session):
     assert len(se & sl) / len(se) >= 0.9
 
 
+def test_block_pair_join_refuses_above_pair_budget(ray_session, monkeypatch):
+    """The quadratic default of embed_near_dup / embed_near_dup_cosine is
+    size-gated from metadata before anything executes: the default budget
+    admits sf0.1 (2,000 embeddings, 1,999,000 pairs), and a budget one
+    below sf0.001's 124,750 pairs makes both callers raise."""
+    from __ray_entry__ import queries
+
+    import plateau_gis_converter_ray.stages.knn as knn
+
+    qs = queries()
+    names = ("embed_near_dup", "embed_near_dup_cosine")
+    for name in names:
+        qs[name]("/root/testdata/sf0.1")  # builds the plan, runs nothing
+    monkeypatch.setattr(knn, "PAIR_BUDGET", 124_749)
+    for name in names:
+        with pytest.raises(ValueError, match="embedding_lsh_near_dup"):
+            qs[name](SF)
+
+
 def test_ngram_jaccard_blocked(ray_session):
     """Blocked n-gram Jaccard near-dup: every emitted pair's integer-scaled
     values match a direct per-pair recomputation, pairs are canonical

@@ -102,3 +102,70 @@ def test_merge_levels_come_from_the_plan(ray_session):
         assert _block_bound(events.repartition(2)) > 64
     finally:
         ctx.target_max_block_size = old
+
+
+def test_grouped_apply_one_call_per_key_equals_pandas(ray_session):
+    """100 input blocks: every key's rows reach exactly ONE ``fn`` call,
+    ``fn`` sees only the input's columns, and the concatenated output
+    equals a one-pass pandas group-by."""
+    from plateau_gis_converter_ray.stages.treeagg import grouped_apply
+
+    df = _blocks(100, 40).dropna()
+    df["k"] = df["k"].astype(np.int64)
+
+    def per_key(g: pd.DataFrame) -> pd.DataFrame:
+        assert list(g.columns) == ["k", "tag", "v", "x"]
+        out = g.groupby(["k", "tag"], as_index=False).agg(
+            s=("v", "sum"), n=("v", "size")
+        )
+        out["n"] = out["n"].astype(np.int64)
+        return out
+
+    got = grouped_apply(_split(df, 100), ["k", "tag"], per_key).to_pandas()
+    # a key split across calls would surface once per call
+    assert not got.duplicated(["k", "tag"]).any()
+    got = got.sort_values(["k", "tag"]).reset_index(drop=True)
+    want = per_key(df).sort_values(["k", "tag"]).reset_index(drop=True)
+    assert list(got.columns) == ["k", "tag", "s", "n"]
+    for c in want.columns:
+        assert (got[c].to_numpy() == want[c].to_numpy()).all(), c
+
+
+def test_grouped_apply_keeps_the_hand_written_bucket_groups(ray_session):
+    """At <= 64 blocks the groups are the ones the hand-written bucket
+    columns made: ``key % 64`` for one int64 key (negative keys included),
+    so each call holds one residue class, and ``pd.util.hash_array % 64``
+    for one string key."""
+    import pyarrow as pa
+
+    from plateau_gis_converter_ray.stages.treeagg import _col_hash, grouped_apply
+
+    keys = np.arange(-300, 700, dtype=np.int64)
+    assert (_col_hash(pa.table({"k": keys}), ["k"], 64) == keys % 64).all()
+
+    def residues(g: pd.DataFrame) -> pd.DataFrame:
+        r = np.unique(g["k"].to_numpy() % 64)
+        return pd.DataFrame({"n_res": [len(r)], "r": [int(r[0])]})
+
+    df = pd.DataFrame({"k": keys, "v": np.ones(len(keys), np.int64)})
+    got = grouped_apply(_split(df, 8), ["k"], residues).to_pandas()
+    assert (got["n_res"] == 1).all()  # one residue per call
+    assert sorted(got["r"]) == list(range(64))  # one call per residue
+
+    words = np.array(["view", "click", "", "購入", "purchase"] * 7, dtype=object)
+    got = _col_hash(pa.table({"w": pa.array(list(words))}), ["w"], 64)
+    assert (got == (pd.util.hash_array(words) % 64).astype(np.int64)).all()
+
+
+def test_grouped_apply_group_count_comes_from_the_plan(ray_session):
+    import ray.data
+
+    from plateau_gis_converter_ray.sources.tables import read_table
+    from plateau_gis_converter_ray.stages.treeagg import _group_count
+
+    events = read_table(SF_SMALL, "events", ["user_id"])
+    assert _group_count(events) == 64  # 16-block read
+    wide = ray.data.range(6000, override_num_blocks=600)
+    assert _group_count(wide) == 600  # one group per block above 64
+    # one-input ops pass the bound through
+    assert _group_count(wide.map_batches(lambda b: b, batch_format="pyarrow")) == 600

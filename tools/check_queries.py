@@ -4,11 +4,18 @@ Runs every ``queries()`` entry at the given sf_dir, converts to pandas, and
 compares against ``oracle_sql()`` run in DuckDB: row count, column-name set,
 and order-insensitive value equality (rows sorted by all columns).
 
+Each PASS/ok line also carries the result's column names, its Arrow types
+and a digest of its rows sorted by all columns, so two checkouts' outputs
+diff line by line once the timing is stripped:
+
+    python tools/check_queries.py SF_DIR | sed -E 's/ \([0-9.]+s\)//' > out.txt
+
 Usage: python tools/check_queries.py [sf_dir] [name ...]
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 import time
@@ -78,6 +85,28 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
     return problems
 
 
+def describe(result, df: pd.DataFrame) -> str:
+    """Column names, Arrow types (``schema()`` for a Dataset) and a sha256
+    prefix of the rows sorted by all columns (``normalize``)."""
+    import pyarrow as pa
+    import ray.data
+
+    try:
+        if isinstance(result, ray.data.Dataset):
+            schema = result.schema()
+            types = [] if schema is None else schema.types
+        elif isinstance(result, pa.Table):
+            types = result.schema.types
+        else:
+            types = pa.Schema.from_pandas(result, preserve_index=False).types
+        h = pd.util.hash_pandas_object(normalize(df), index=False).to_numpy()
+        digest = hashlib.sha256(h.tobytes()).hexdigest()[:16]
+    except Exception as e:  # a failed description must not end the sweep
+        return f" describe-error={type(e).__name__}: {e}"
+    types = [str(t) for t in types]
+    return f" cols={list(df.columns)} types={types} digest={digest}"
+
+
 def main():
     import ray
 
@@ -109,14 +138,19 @@ def main():
             continue
         t0 = time.perf_counter()
         try:
-            ray_df = to_pandas(fn(sf_dir))
+            result = fn(sf_dir)
+            if isinstance(result, ray.data.Dataset):
+                # executed once: to_pandas and schema() read the same blocks
+                result = result.materialize()
+            ray_df = to_pandas(result)
         except Exception as e:
             print(f"FAIL {name}: ray error: {type(e).__name__}: {e}")
             n_fail += 1
             continue
         dt = time.perf_counter() - t0
         if name not in oracles:
-            print(f"ok?  {name}: rows={len(ray_df)} ({dt:.1f}s) [rows-only]")
+            print(f"ok?  {name}: rows={len(ray_df)} ({dt:.1f}s) [rows-only]"
+                  + describe(result, ray_df))
             n_pass += 1
             continue
         try:
@@ -130,7 +164,8 @@ def main():
             print(f"FAIL {name} ({dt:.1f}s): " + "; ".join(problems))
             n_fail += 1
         else:
-            print(f"PASS {name}: rows={len(ray_df)} ({dt:.1f}s)")
+            print(f"PASS {name}: rows={len(ray_df)} ({dt:.1f}s)"
+                  + describe(result, ray_df))
             n_pass += 1
     print(f"\n{n_pass} pass, {n_fail} fail")
     ray.shutdown()
