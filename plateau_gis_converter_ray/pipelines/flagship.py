@@ -11,6 +11,8 @@ slice(row-parallel) -> sort barrier -> grouped write, rebuilt as
       -> tree merge (log-depth, adaptive)               # THE one exchange
       -> per-chunk parquet + manifest commit            # resumable output
       -> tileset.json quadtree reduce (driver-side)
+      -> GLB sink: grouped_apply(zoom, tile_x, tile_y)  # one writer per
+         tile batch, on every CPU (write_flagship_glb_tiles)
 
 Skew note: the Tokyo-bay hotspot (30% of rows in a handful of tiles) is
 neutralized *before* the shuffle by the per-batch combiner — each tile
@@ -321,12 +323,45 @@ def _muni_material(muni_id: str) -> dict:
     return mat
 
 
-def _write_glb_tile(g, tiles_dir: str):
-    """Write one tile group of the flagship aggregate as z/x/y.glb (see
-    :func:`write_flagship_glb_tiles`) and return its one-row summary."""
-    import pandas as pd
+_TILE_KEYS = ["zoom", "tile_x", "tile_y"]
 
+
+def _tile_frames(zoom, tx, ty):
+    """Per-tile frame of a batch's tiles: (west, north, width, height,
+    translation (n, 3)), angles in degrees. The translation is the
+    tile-center geocentric point, z-up -> y-up, f32-rounded
+    (mod.rs:275-283). Every step is elementwise, so a tile's frame does not
+    depend on the tiles it shares the batch with."""
     from ..kernels import scheme3dt
+    from ..kernels.projection import geodetic_to_geocentric, wgs84
+
+    west, east, south, north = (np.empty(len(zoom)) for _ in range(4))
+    for z in np.unique(zoom):
+        m = zoom == z
+        south[m], north[m] = scheme3dt.y_slice_range(int(z), ty[m])
+        xs = scheme3dt.x_step(int(z), ty[m])
+        west[m], east[m] = scheme3dt.x_slice_range(int(z), tx[m], xs)
+    tcx, tcy, tcz = geodetic_to_geocentric(
+        wgs84(), (west + east) / 2.0, (south + north) / 2.0, np.zeros(len(zoom))
+    )
+    translation = np.stack([tcx, tcz, -tcy], axis=1).astype(np.float32)
+    return (west, north, np.maximum(east - west, 1e-12),
+            np.maximum(north - south, 1e-12), translation.astype(np.float64))
+
+
+def _write_glb_batch(t: pa.Table, tiles_dir: str) -> pa.Table:
+    """Write every tile of one batch of the flagship aggregate as z/x/y.glb
+    (see :func:`write_flagship_glb_tiles`) and return one summary row per
+    tile: zoom, tile_x, tile_y, n_munis, n_materials (-1 = resume skip),
+    glb_bytes, all int64.
+
+    One lexsort on (zoom, tile_x, tile_y, muni_id) finds the tile runs.
+    Ray hands rows over in no fixed order; numbering features, vertices and
+    first-seen materials in muni_id order (unique within a tile) makes a
+    tile's bytes a function of its own rows alone. The tile frames and the
+    quad corners' geodetic -> geocentric transform run once per batch;
+    both are elementwise, so the bytes match a tile written on its own.
+    """
     from ..kernels.projection import geodetic_to_geocentric, wgs84
     from ..sinks.glb import MetadataEncoder, tile_glb_bytes
     from ..sinks.tiles3d import (
@@ -336,134 +371,98 @@ def _write_glb_tile(g, tiles_dir: str):
         tile_skip_ok,
     )
 
-    ellips = wgs84()
-    z = int(g["zoom"].iloc[0])
-    x = int(g["tile_x"].iloc[0])
-    y = int(g["tile_y"].iloc[0])
-    final = os.path.join(tiles_dir, str(z), str(x), f"{y}.glb")
-    digest = tile_lineage_digest(
-        g, ["muni_id", "n_assignments", "lng_min", "lng_max",
-            "lat_min", "lat_max"]
+    munis = np.asarray(t.column("muni_id").to_pylist(), dtype=object)
+    zoom, tx, ty = (t.column(c).to_numpy().astype(np.int64) for c in _TILE_KEYS)
+    order = np.lexsort((munis, ty, tx, zoom))
+    zoom, tx, ty, munis = zoom[order], tx[order], ty[order], munis[order]
+    cols = {"muni_id": munis}
+    for c in ["n_assignments", "lng_min", "lng_max", "lat_min", "lat_max"]:
+        cols[c] = t.column(c).to_numpy()[order]
+    starts = np.flatnonzero(
+        np.r_[True, (zoom[1:] != zoom[:-1]) | (tx[1:] != tx[:-1]) | (ty[1:] != ty[:-1])]
     )
-    if tile_skip_ok(final, digest):
-        # resume: a prior run wrote this tile atomically AND its input
-        # content digest matches — a changed upstream aggregate
-        # rewrites instead of serving stale bytes (ADVICE r3);
-        # n_materials -1 marks the skip
-        return pd.DataFrame(
-            {"zoom": [z], "tile_x": [x], "tile_y": [y],
-             "n_munis": [len(g)], "n_materials": [-1],
-             "glb_bytes": [os.path.getsize(final)]}
-        )
-    south, north = scheme3dt.y_slice_range(z, y)
-    xs = scheme3dt.x_step(z, np.array([y]))[0]
-    west, east = scheme3dt.x_slice_range(z, x, xs)
-    w = max(float(east - west), 1e-12)
-    h = max(float(north - south), 1e-12)
+    ends = np.r_[starts[1:], len(zoom)]
 
-    # tile-center geocentric translation, z-up -> y-up, f32-rounded
-    # (mod.rs:275-283)
-    tcx, tcy, tcz = geodetic_to_geocentric(
-        ellips, (west + east) / 2.0, (south + north) / 2.0, 0.0
+    # batch geometry: each municipality's bbox quad (lng0,lat1)
+    # (lng1,lat1) (lng1,lat0) (lng0,lat0) goes geocentric, minus its
+    # tile's translation, z-up -> y-up
+    west, north, w, h, translation = _tile_frames(zoom[starts], tx[starts], ty[starts])
+    tile_of = np.repeat(np.arange(len(starts)), ends - starts)
+    lng0, lng1, lat0, lat1 = (
+        cols[c].astype(np.float64) for c in ["lng_min", "lng_max", "lat_min", "lat_max"]
     )
-    translation = [
-        float(np.float32(tcx)), float(np.float32(tcz)),
-        float(np.float32(-tcy)),
-    ]
-
-    enc = MetadataEncoder(
-        {"Municipality": {"muni_id": "string", "n_assignments": "uint64"}}
-    )
-    n_features = len(g)
-    # Ray hands a group's rows over in no fixed order; numbering features,
-    # vertices and first-seen materials in muni_id order (unique within a
-    # tile) makes the bytes a function of the group's contents alone
-    munis = g["muni_id"].astype(str).to_numpy(dtype=object)
-    order = np.argsort(munis, kind="stable")
-    munis = munis[order]
-    nass = g["n_assignments"].to_numpy().astype(np.int64)[order]
-    # per-feature metadata rows stay a loop (string property table
-    # semantics); all GEOMETRY below is batch-vectorized across the
-    # tile's features — same IEEE expressions per quad, so bytes
-    # match the former per-row assembly
-    fids = np.array(
-        [
-            enc.add_feature(
-                "Municipality",
-                {"muni_id": m, "n_assignments": int(a)},
-            )
-            for m, a in zip(munis, nass)
-        ],
-        dtype=np.float32,
-    )
-    lng0 = g["lng_min"].to_numpy(dtype=np.float64)[order]
-    lng1 = g["lng_max"].to_numpy(dtype=np.float64)[order]
-    lat0 = g["lat_min"].to_numpy(dtype=np.float64)[order]
-    lat1 = g["lat_max"].to_numpy(dtype=np.float64)[order]
-    # quad corners: (lng0,lat1) (lng1,lat1) (lng1,lat0) (lng0,lat0)
     lngs = np.stack([lng0, lng1, lng1, lng0], axis=1)  # (n, 4)
     lats = np.stack([lat1, lat1, lat0, lat0], axis=1)
     gx, gy, gz = geodetic_to_geocentric(
-        ellips, lngs.ravel(), lats.ravel(),
-        np.zeros(4 * n_features),
+        wgs84(), lngs.ravel(), lats.ravel(), np.zeros(lngs.size)
     )
+    tr = np.repeat(translation[tile_of], 4, axis=0)
     pos = np.stack(
-        [gx - translation[0], gz - translation[1], -gy - translation[2]],
-        axis=1,
-    ).reshape(n_features, 4, 3)
+        [gx - tr[:, 0], gz - tr[:, 1], -gy - tr[:, 2]], axis=1
+    ).reshape(len(zoom), 4, 3)
     # per-face normal (utils::calculate_normal role)
     nrm = np.cross(pos[:, 1] - pos[:, 0], pos[:, 2] - pos[:, 0])
     nl = np.linalg.norm(nrm, axis=1)
     safe = np.where(nl > 0, nl, 1.0)[:, None]
-    nrm = np.where(
-        (nl > 0)[:, None], nrm / safe, np.array([0.0, 1.0, 0.0])
-    )
-    # tile-local uv with the v flip (mod.rs:347: [u, 1 - v])
-    u = (lngs - west) / w
-    v_flip = 1.0 - (north - lats) / h
-    v9 = np.zeros((n_features, 4, 9), dtype=np.float32)
+    nrm = np.where((nl > 0)[:, None], nrm / safe, np.array([0.0, 1.0, 0.0]))
+    v9 = np.zeros((len(zoom), 4, 9), dtype=np.float32)
     v9[..., :3] = pos
     v9[..., 3:6] = nrm[:, None, :]
-    v9[..., 6] = u
-    v9[..., 7] = v_flip
-    v9[..., 8] = fids[:, None]
-    allv = v9.reshape(-1, 9)
-    vtable, inverse = (
-        dedup_vertex_table(allv) if len(allv)
-        else (allv, np.empty(0, np.int64))
-    )
-    # materials dedup in FIRST-SEEN order (factorize == the old
-    # insertion-ordered mat_of dict); per-material triangle indices
-    # keep feature order
-    mat_codes, mat_uniq = pd.factorize(pd.Series(munis))
-    materials = [_muni_material(str(m)) for m in mat_uniq]
+    # tile-local uv with the v flip (mod.rs:347: [u, 1 - v])
+    v9[..., 6] = (lngs - west[tile_of][:, None]) / w[tile_of][:, None]
+    v9[..., 7] = 1.0 - (north[tile_of][:, None] - lats) / h[tile_of][:, None]
+
     tri = np.array([0, 1, 2, 0, 2, 3], dtype=np.uint32)
-    feat_tri = (
-        (np.arange(n_features, dtype=np.uint32) * 4)[:, None] + tri[None, :]
-    )
-    primitives = [
-        {
-            "indices": inverse[feat_tri[mat_codes == mi].ravel()],
-            "material": int(mi),
-        }
-        for mi in range(len(mat_uniq))
-    ]
-    glb = tile_glb_bytes(
-        vtable, np.empty(0, np.uint32), translation=translation,
-        metadata=enc, num_features=n_features,
-        primitives=primitives, materials=materials,
-    )
-    path_dir = os.path.join(tiles_dir, str(z), str(x))
-    os.makedirs(path_dir, exist_ok=True)
-    tmp = os.path.join(path_dir, f".tmp_{y}.glb")
-    with open(tmp, "wb") as f:
-        f.write(glb)
-    os.replace(tmp, final)
-    commit_tile_lineage(final, digest)
-    return pd.DataFrame(
-        {"zoom": [z], "tile_x": [x], "tile_y": [y],
-         "n_munis": [n_features], "n_materials": [len(materials)],
-         "glb_bytes": [len(glb)]}
+    material_of = {m: _muni_material(m) for m in set(munis)}
+    rows = []
+    for i, (s, e) in enumerate(zip(starts, ends)):
+        z, x, y = int(zoom[s]), int(tx[s]), int(ty[s])
+        final = os.path.join(tiles_dir, str(z), str(x), f"{y}.glb")
+        digest = tile_lineage_digest({c: a[s:e] for c, a in cols.items()}, list(cols))
+        if tile_skip_ok(final, digest):
+            # resume: a prior run wrote this tile atomically AND its input
+            # content digest matches — a changed upstream aggregate
+            # rewrites instead of serving stale bytes (ADVICE r3)
+            rows.append((z, x, y, e - s, -1, os.path.getsize(final)))
+            continue
+        enc = MetadataEncoder(
+            {"Municipality": {"muni_id": "string", "n_assignments": "uint64"}}
+        )
+        v9[s:e, :, 8] = np.array(
+            [
+                enc.add_feature("Municipality", {"muni_id": m, "n_assignments": int(a)})
+                for m, a in zip(munis[s:e], cols["n_assignments"][s:e])
+            ],
+            dtype=np.float32,
+        )[:, None]
+        allv = v9[s:e].reshape(-1, 9)
+        vtable, inverse = dedup_vertex_table(allv)
+        # materials dedup in first-seen order, which for muni_id-sorted
+        # features is np.unique's order; per-material triangle indices
+        # keep feature order
+        mat_uniq, mat_codes = np.unique(munis[s:e], return_inverse=True)
+        materials = [material_of[m] for m in mat_uniq]
+        feat_tri = (np.arange(e - s, dtype=np.uint32) * 4)[:, None] + tri[None, :]
+        primitives = [
+            {"indices": inverse[feat_tri[mat_codes == mi].ravel()], "material": mi}
+            for mi in range(len(mat_uniq))
+        ]
+        glb = tile_glb_bytes(
+            vtable, np.empty(0, np.uint32), translation=translation[i].tolist(),
+            metadata=enc, num_features=e - s,
+            primitives=primitives, materials=materials,
+        )
+        path_dir = os.path.join(tiles_dir, str(z), str(x))
+        os.makedirs(path_dir, exist_ok=True)
+        tmp = os.path.join(path_dir, f".tmp_{y}.glb")
+        with open(tmp, "wb") as f:
+            f.write(glb)
+        os.replace(tmp, final)
+        commit_tile_lineage(final, digest)
+        rows.append((z, x, y, e - s, len(materials), len(glb)))
+    names = [*_TILE_KEYS, "n_munis", "n_materials", "glb_bytes"]
+    return pa.table(
+        {c: pa.array([r[j] for r in rows], pa.int64()) for j, c in enumerate(names)}
     )
 
 
@@ -479,14 +478,25 @@ def write_flagship_glb_tiles(out_dir: str, tiles_dir: str | None = None):
     deduped material (material.rs IndexSet; texture when the municipality's
     appearance theme carries one) and the glb gets an
     EXT_structural_metadata property table carrying (muni_id,
-    n_assignments). Runs over the (small) merged aggregate as a grouped
-    Dataset write — one file per tile, resumable by existing-file skip.
+    n_assignments). One file per tile, resumable by a lineage-checked skip.
+
+    The write is a :func:`~plateau_gis_converter_ray.stages.treeagg.grouped_apply`
+    on the tile key, each call writing a whole batch of tiles
+    (:func:`_write_glb_batch`), the reference's one ``par_bridge`` task per
+    tile group (mod.rs:262-265). The merged aggregate is one block, so
+    ``grouped_apply`` splits it to the cluster's CPU count before its
+    exchange and the tiles are written on every CPU, not in one task.
     """
+    import functools
+
+    from ..stages.treeagg import grouped_apply
+
     tiles_dir = tiles_dir or os.path.join(out_dir, "tiles")
     os.makedirs(tiles_dir, exist_ok=True)
-    agg = flagship_result_ds(out_dir)
-    return agg.groupby(["zoom", "tile_x", "tile_y"]).map_groups(
-        lambda g: _write_glb_tile(g, tiles_dir), batch_format="pandas"
+    return grouped_apply(
+        flagship_result_ds(out_dir), _TILE_KEYS,
+        functools.partial(_write_glb_batch, tiles_dir=tiles_dir),
+        batch_format="pyarrow",
     )
 
 

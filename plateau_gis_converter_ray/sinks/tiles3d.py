@@ -1,4 +1,4 @@
-"""3D-Tiles glb tile writer: groupby(tile) -> encode glb -> z/x/y.glb.
+"""3D-Tiles glb tile writer: grouped_apply(tile) -> encode glb -> z/x/y.glb.
 
 The binary half of the 3dtiles sink (VERDICT r1 missing item #2): tile
 content is now REAL glb (sinks/glb.py == the reference's
@@ -27,25 +27,27 @@ from ..kernels.earcut import triangulate_rings
 from .glb import MetadataEncoder, tile_glb_bytes
 
 
-def tile_lineage_digest(g: "pd.DataFrame", cols: list[str]) -> str:
+def tile_lineage_digest(g, cols: list[str]) -> str:
     """Order-insensitive digest of the rows that determine a tile's bytes
     — the resume-skip validation marker. A bare ``exists()`` skip serves
     STALE tiles after the upstream aggregate changed (ADVICE r3); the
     compaction sink validates recorded lineage on resume, tile writers
-    validate this digest the same way."""
+    validate this digest the same way. ``g`` maps each of ``cols`` to
+    one value per row (a DataFrame, or a dict of numpy slices)."""
     import hashlib
 
     acc = 0
-    arrays = [g[c].to_numpy() for c in cols]
+    arrays = [np.asarray(g[c]) for c in cols]
     n = 0
-    for row in zip(*arrays):  # per FEATURE (not per vertex): digest cost
-        h = hashlib.blake2b(digest_size=8)  # is noise next to the encode
-        for v in row:
-            if isinstance(v, (list, tuple, np.ndarray)):
-                h.update(np.asarray(v, dtype=np.float64).tobytes())
-            else:
-                h.update(str(v).encode())
-            h.update(b"\x1f")
+    # per FEATURE (not per vertex): digest cost is noise next to the
+    # encode. One blake2b over the joined parts equals one update per part.
+    for row in zip(*arrays):
+        parts = [
+            np.asarray(v, dtype=np.float64).tobytes()
+            if isinstance(v, (list, tuple, np.ndarray)) else str(v).encode()
+            for v in row
+        ]
+        h = hashlib.blake2b(b"\x1f".join(parts) + b"\x1f", digest_size=8)
         # SUM (mod 2^64), not XOR: order-insensitive but multiset-safe —
         # an xor fold cancels any even multiplicity of identical rows,
         # letting a dup-pair add/drop slip past the stale-tile check
@@ -130,12 +132,18 @@ def write_tiles_3dt(ds, out_dir: str, attr_schema: dict | None = None):
     Expects rows with zoom/tile_x/tile_y + ``ring_xy`` (flat [x0,y0,...]
     tile-local coords in [0,1]); optional ``pid`` feeds the metadata
     property table. Returns per-tile result rows (path, counts, vertex
-    stats) for the tileset assembly stage.
+    stats) for the tileset assembly stage. Tiles are written through
+    :func:`~plateau_gis_converter_ray.stages.treeagg.grouped_apply`: each
+    call writes every tile of its batch, one tile per run of the batch
+    sorted by tile key (stable, so a tile keeps the row order it came in).
     """
+    from ..stages.treeagg import grouped_apply
+
     os.makedirs(out_dir, exist_ok=True)
     schema = attr_schema or {"Feature": {"pid": "string"}}
+    keys = ["zoom", "tile_x", "tile_y"]
 
-    def write_tile(g: pd.DataFrame) -> pd.DataFrame:
+    def write_tile(g: pd.DataFrame) -> dict:
         z = int(g["zoom"].iloc[0])
         x = int(g["tile_x"].iloc[0])
         y = int(g["tile_y"].iloc[0])
@@ -147,12 +155,10 @@ def write_tiles_3dt(ds, out_dir: str, attr_schema: dict | None = None):
         if tile_skip_ok(final, digest):
             # resume: written atomically by a prior run AND the input
             # content digest matches (stale tiles rewrite instead)
-            return pd.DataFrame(
-                {"zoom": [z], "tile_x": [x], "tile_y": [y],
-                 "n_features": [len(g)], "n_vertices": [-1],
-                 "glb_bytes": [os.path.getsize(final)],
-                 "content": [f"{z}/{x}/{y}.glb"]}
-            )
+            return {"zoom": z, "tile_x": x, "tile_y": y,
+                    "n_features": len(g), "n_vertices": -1,
+                    "glb_bytes": os.path.getsize(final),
+                    "content": f"{z}/{x}/{y}.glb"}
 
         enc = MetadataEncoder(schema)
         rings, fids = [], []
@@ -176,16 +182,15 @@ def write_tiles_3dt(ds, out_dir: str, attr_schema: dict | None = None):
             f.write(glb)
         os.replace(tmp, final)
         commit_tile_lineage(final, digest)
-        return pd.DataFrame(
-            {
-                "zoom": [z], "tile_x": [x], "tile_y": [y],
-                "n_features": [len(rings)],
-                "n_vertices": [len(vtable)],
-                "glb_bytes": [len(glb)],
-                "content": [f"{z}/{x}/{y}.glb"],
-            }
-        )
+        return {"zoom": z, "tile_x": x, "tile_y": y,
+                "n_features": len(rings), "n_vertices": len(vtable),
+                "glb_bytes": len(glb), "content": f"{z}/{x}/{y}.glb"}
 
-    return ds.groupby(["zoom", "tile_x", "tile_y"]).map_groups(
-        write_tile, batch_format="pandas"
-    )
+    def write_batch(b: pd.DataFrame) -> pd.DataFrame:
+        b = b.sort_values(keys, kind="stable").reset_index(drop=True)
+        k = b[keys].to_numpy()
+        starts = np.flatnonzero(np.r_[True, (k[1:] != k[:-1]).any(axis=1)])
+        ends = np.r_[starts[1:], len(b)]
+        return pd.DataFrame([write_tile(b.iloc[s:e]) for s, e in zip(starts, ends)])
+
+    return grouped_apply(ds, keys, write_batch)

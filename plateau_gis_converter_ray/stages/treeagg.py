@@ -16,10 +16,14 @@ Keyed group-apply: :func:`grouped_apply` co-locates every row of a key in
 one ``fn`` call — a hash of the key columns, one ``groupby().map_groups``
 exchange. Its group count also comes from the plan (:func:`_group_count`):
 64 while the input is at most 64 blocks, one group per block above, so a
-group holds about one input block at any scale. Fact-sized key spaces
-(:func:`grouped_group_agg`, :func:`grouped_distinct`) and every
+group holds about one input block at any scale. The exchange's task
+count is its input's block count (Ray's sort keeps it), so an input the
+plan bounds below the running cluster's CPU count is first split to that
+count (:func:`_split_to_cluster`): a one-block aggregate then runs its
+groups on every CPU instead of in one task. Fact-sized key spaces
+(:func:`grouped_group_agg`, :func:`grouped_distinct`), every
 co-location bucket (per-user sweeps, gram/term/variant buckets, cell
-buckets) go through it.
+buckets) and the GLB tile sinks go through it.
 """
 
 from __future__ import annotations
@@ -171,6 +175,21 @@ def _group_count(ds) -> int:
     return 64 if n is None or n <= 64 else n
 
 
+def _split_to_cluster(ds):
+    """``ds`` split to the running cluster's CPU count when the plan bounds
+    it below that (``repartition(k)``, no shuffle), else ``ds`` itself.
+    Ray's sort exchange keeps its input's block count and ``map_groups``
+    runs one task per output block, so a one-block input would run every
+    group in one task however many CPUs are idle."""
+    import ray
+
+    from .joins import _block_bound
+
+    n = _block_bound(ds)
+    cpus = int(ray.cluster_resources().get("CPU", 1)) if ray.is_initialized() else 1
+    return ds.repartition(cpus) if n is not None and n < cpus else ds
+
+
 def grouped_apply(ds, keys: list[str], fn, batch_format: str = "pandas"):
     """The engine's one keyed group-apply: ``fn`` sees every row of a key
     in ONE call, together with the rows of whatever other keys hash to the
@@ -178,7 +197,9 @@ def grouped_apply(ds, keys: list[str], fn, batch_format: str = "pandas"):
     Rows are tagged ``_g = _col_hash(keys)`` over :func:`_group_count`
     groups and exchanged by ``groupby("_g").map_groups``; ``fn`` receives
     ``ds``'s own columns (the tag is dropped before the call) in
-    ``batch_format``, as Ray's ``map_groups`` gives them."""
+    ``batch_format``, as Ray's ``map_groups`` gives them. An input bounded
+    below the cluster's CPU count is split to that count first
+    (:func:`_split_to_cluster`)."""
     n = _group_count(ds)
 
     def tag(t: pa.Table) -> pa.Table:
@@ -193,7 +214,8 @@ def grouped_apply(ds, keys: list[str], fn, batch_format: str = "pandas"):
     call.__name__ = getattr(fn, "__name__", "call")  # Ray's operator name
 
     return (
-        ds.map_batches(tag, batch_format="pyarrow", batch_size=None)
+        _split_to_cluster(ds)
+        .map_batches(tag, batch_format="pyarrow", batch_size=None)
         .groupby("_g")
         .map_groups(call, batch_format=batch_format)
     )

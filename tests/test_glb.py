@@ -168,8 +168,10 @@ def test_flagship_e2e_writes_valid_glb(ray_session, tmp_path):
     assert len(out) > 0 and (out["glb_bytes"] > 20).all()
     files = glob.glob(os.path.join(tiles_dir, "*", "*", "*.glb"))
     assert len(files) == len(out)
-    # pick a tile with >= 2 municipalities so material grouping shows
-    multi = out[out["n_munis"] >= 2]
+    # pick a tile with >= 2 municipalities so material grouping shows:
+    # the first in tile-key order (the sink's row order follows its hash
+    # groups)
+    multi = out[out["n_munis"] >= 2].sort_values(["zoom", "tile_x", "tile_y"])
     assert len(multi) > 0
     r = multi.iloc[0]
     path = os.path.join(
@@ -210,41 +212,81 @@ def test_flagship_e2e_writes_valid_glb(ray_session, tmp_path):
     assert (verts[:, 6] >= -1e-6).all() and (verts[:, 6] <= 1 + 1e-6).all()
     assert (verts[:, 7] >= -1e-6).all() and (verts[:, 7] <= 1 + 1e-6).all()
 
+    # resume: a second write into the same directory skips every tile
+    # (n_materials -1) and leaves every file's bytes and mtime as they were
+    def snapshot():
+        out = {}
+        for f in files:
+            with open(f, "rb") as fh:
+                out[f] = (fh.read(), os.path.getmtime(f))
+        return out
+
+    before = snapshot()
+    again = write_flagship_glb_tiles(res["out_dir"], tiles_dir).to_pandas()
+    assert len(again) == len(out) and (again["n_materials"] == -1).all()
+    assert snapshot() == before
+    # a tile without its lineage sidecar is rewritten, and only that tile
+    os.remove(path + ".lineage")
+    third = write_flagship_glb_tiles(res["out_dir"], tiles_dir).to_pandas()
+    written = third[third["n_materials"] != -1]
+    assert len(third) == len(out) and len(written) == 1
+    w = written.iloc[0]
+    assert [int(w[c]) for c in ("zoom", "tile_x", "tile_y")] == [
+        int(r[c]) for c in ("zoom", "tile_x", "tile_y")
+    ]
+    assert os.path.exists(path + ".lineage")
+    after = snapshot()
+    assert after[path][0] == before[path][0]
+    assert {f: v for f, v in after.items() if f != path} == {
+        f: v for f, v in before.items() if f != path
+    }
+
 
 def test_glb_tile_bytes_independent_of_row_order(tmp_path):
-    """One tile group written from two row orders gives identical .glb
-    bytes (Ray hands a group's rows over in no fixed order)."""
-    import pandas as pd
+    """Two tiles in one batch, written from two row orders, give identical
+    .glb bytes per tile (Ray hands a group's rows over in no fixed order),
+    and equal the bytes of each tile written in a batch of its own."""
+    import pyarrow as pa
 
     from plateau_gis_converter_ray.kernels import scheme3dt
-    from plateau_gis_converter_ray.pipelines.flagship import _write_glb_tile
+    from plateau_gis_converter_ray.pipelines.flagship import _write_glb_batch
 
-    z = 7
-    lng = np.array([139.60, 139.70, 139.75, 139.65, 139.72])
-    lat = np.array([35.60, 35.65, 35.70, 35.62, 35.68])
-    x, y = scheme3dt.zxy_from_lng_lat(z, lng[:1], lat[:1])
-    g = pd.DataFrame(
-        {
-            "tile_id": 1,
-            "muni_id": [f"muni_{i:03d}" for i in (12, 3, 40, 7, 25)],
-            "n_assignments": np.array([5, 1, 9, 2, 4], np.int64),
-            "zoom": z,
-            "tile_x": int(x[0]),
-            "tile_y": int(y[0]),
-            "lng_min": lng - 0.01,
-            "lng_max": lng + 0.01,
-            "lat_min": lat - 0.01,
-            "lat_max": lat + 0.01,
-        }
-    )
-    glbs = []
-    for i, order in enumerate(([0, 1, 2, 3, 4], [4, 2, 0, 3, 1])):
-        rows = g.iloc[order].reset_index(drop=True)
-        out = _write_glb_tile(rows, str(tmp_path / str(i)))
-        assert int(out["n_munis"][0]) == 5 and int(out["n_materials"][0]) == 5
-        path = tmp_path / str(i) / str(z) / str(int(x[0])) / f"{int(y[0])}.glb"
-        glbs.append(path.read_bytes())
-    assert glbs[0] == glbs[1]
+    def tile(z, lng, lat, munis, nass):
+        x, y = scheme3dt.zxy_from_lng_lat(z, lng[:1], lat[:1])
+        n = len(munis)
+        return pa.table(
+            {
+                "tile_id": pa.array(np.full(n, z), pa.int64()),
+                "muni_id": [f"muni_{i:03d}" for i in munis],
+                "n_assignments": np.array(nass, np.int64),
+                "zoom": pa.array(np.full(n, z), pa.int32()),
+                "tile_x": np.full(n, int(x[0]), np.int64),
+                "tile_y": np.full(n, int(y[0]), np.int64),
+                "lng_min": lng - 0.01, "lng_max": lng + 0.01,
+                "lat_min": lat - 0.01, "lat_max": lat + 0.01,
+            }
+        )
+
+    a = tile(7, np.array([139.60, 139.70, 139.75, 139.65, 139.72]),
+             np.array([35.60, 35.65, 35.70, 35.62, 35.68]),
+             (12, 3, 40, 7, 25), [5, 1, 9, 2, 4])
+    b = tile(9, np.array([135.50, 135.52, 135.48]),
+             np.array([34.69, 34.70, 34.68]), (31, 2, 17), [3, 8, 6])
+    both = pa.concat_tables([a, b])
+
+    def write(t, name):
+        out = _write_glb_batch(t, str(tmp_path / name)).to_pandas()
+        got = {}
+        for _, r in out.iterrows():
+            z, x, y = int(r["zoom"]), int(r["tile_x"]), int(r["tile_y"])
+            assert int(r["n_munis"]) == int(r["n_materials"]) == (5 if z == 7 else 3)
+            got[(z, x, y)] = (tmp_path / name / str(z) / str(x) / f"{y}.glb").read_bytes()
+        return got
+
+    first = write(both.take([0, 1, 2, 3, 4, 5, 6, 7]), "0")
+    second = write(both.take([6, 4, 2, 0, 7, 3, 1, 5]), "1")
+    assert len(first) == 2 and first == second
+    assert {**write(a, "a"), **write(b, "b")} == first
 
 
 def test_metadata_encoder_array_properties():

@@ -169,3 +169,26 @@ def test_grouped_apply_group_count_comes_from_the_plan(ray_session):
     assert _group_count(wide) == 600  # one group per block above 64
     # one-input ops pass the bound through
     assert _group_count(wide.map_batches(lambda b: b, batch_format="pyarrow")) == 600
+
+
+def test_grouped_apply_splits_a_small_input_over_the_cluster(ray_session):
+    """A one-block input (plan bound 1, below the session's 4 CPUs) is
+    split before the exchange, so its 400 keys run in more than one task;
+    Ray's sort would otherwise keep the one block and run every group in
+    one task. A plan bounded at the CPU count or above is left alone."""
+    import ray
+    import ray.data
+
+    from plateau_gis_converter_ray.sources.tables import read_table
+    from plateau_gis_converter_ray.stages.treeagg import _split_to_cluster, grouped_apply
+
+    def task_of(g: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"k": g["k"], "task": ray.get_runtime_context().get_task_id()})
+
+    df = pd.DataFrame({"k": np.arange(400, dtype=np.int64)})
+    got = grouped_apply(ray.data.from_pandas(df), ["k"], task_of).to_pandas()
+    assert sorted(got["k"]) == list(range(400))
+    assert got["task"].nunique() >= 2
+
+    events = read_table(SF_SMALL, "events", ["user_id"])  # 16-block read
+    assert _split_to_cluster(events) is events
