@@ -35,7 +35,8 @@ def write_corpus_dedup(sf_dir: str, out_dir: str, n_shards: int = 8,
     (test hook for simulating a killed run)."""
     import json
 
-    from .queries import JOIN_PARTS, _read, q_corpus_dedup
+    from ..stages.joins import auto_join
+    from .queries import _read, q_corpus_dedup
 
     config = {"sf_dir": sf_dir, "n_shards": n_shards}
     manifest = PartitionManifest(out_dir, config)
@@ -70,9 +71,7 @@ def write_corpus_dedup(sf_dir: str, out_dir: str, n_shards: int = 8,
     labels = q_corpus_dedup(sf_dir)
     keep = labels.filter(expr="kept == 1").select_columns(["doc_id"])
     docs = _read(sf_dir, "documents")
-    survive = docs.join(
-        keep, "left_semi", num_partitions=JOIN_PARTS, on=("doc_id",)
-    )
+    survive = auto_join(docs, keep, how="left_semi", on=("doc_id",))
 
     rem = set(remaining)
 

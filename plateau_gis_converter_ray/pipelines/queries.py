@@ -38,18 +38,13 @@ def _read(sf_dir: str, table: str, columns=None, filter=None):
     return read_table(sf_dir, table, columns, filter=filter)
 
 
-# hash-join exchange partition count: sized so the join aggregator actors
-# coexist with the other stages on the 32-cpu single-node harness (8+ was
-# measurably slower under actor-pool contention); on a real cluster this
-# scales with node count, like every explicit partition count in the repo
-JOIN_PARTS = 4
-
 # One knob for every size-gated broadcast fast path (df tables, candidate
 # key sets, dl lookups, vocab marginals): MEASURED bytes must fit
 # comfortably in a worker heap next to its batch; past it, the query falls
 # back to its shuffle/join plan. Shared with the join planner's broadcast
 # limit so one setting governs every broadcast decision in the engine.
 from ..stages.joins import DEFAULT_BROADCAST_LIMIT as BROADCAST_BUDGET  # noqa: E402
+from ..stages.joins import _size_bound, auto_join  # noqa: E402
 
 
 def _geo_sql(id_expr: str) -> str:
@@ -484,28 +479,23 @@ def q_top_orders(sf_dir: str, force: str | None = None):
     vectorized membership mask — zero fact shuffle; above it the SAME call
     plans the hash-partitioned left_semi exchange that only ever moves one
     row per order. Global top-k closes it."""
-    from ..stages.joins import _scan_rooted_size, auto_join
 
-    cust_scan = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    cust_bound = _scan_rooted_size(cust_scan)
     cust_b = (
-        cust_scan
+        _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
         .filter(expr="c_mktsegment == 'BUILDING'")
         .select_columns(["c_custkey"])
     )
     orders_scan = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    orders_bound = _scan_rooted_size(orders_scan)
     orders_b = auto_join(
-        orders_scan, cust_b, how="left_semi", num_partitions=JOIN_PARTS,
-        on=("o_custkey",), right_on=("c_custkey",),
-        right_size_hint=cust_bound, force=force,
+        orders_scan, cust_b, how="left_semi",
+        on=("o_custkey",), right_on=("c_custkey",), force=force,
     ).select_columns(["o_orderkey"])
 
+    # the semi-join output is bounded by its orders scan
     agg = auto_join(
         _rev_by_order(sf_dir), orders_b, how="left_semi",
-        num_partitions=JOIN_PARTS,
         on=("l_orderkey",), right_on=("o_orderkey",),
-        right_size_hint=orders_bound, force=force,
+        right_size_hint=_size_bound(orders_scan), force=force,
     )
     agg = agg.rename_columns({"l_orderkey": "o_orderkey"})
     return agg.sort(["revenue_s", "o_orderkey"], descending=[True, False]).limit(10)
@@ -541,9 +531,9 @@ def q_top_orders_bloom(sf_dir: str):
         .filter(expr="c_mktsegment == 'BUILDING'")
         .select_columns(["c_custkey"])
     )
-    orders_b = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]).join(
-        cust_b, "left_semi", num_partitions=JOIN_PARTS,
-        on=("o_custkey",), right_on=("c_custkey",),
+    orders_b = auto_join(
+        _read(sf_dir, "orders", ["o_orderkey", "o_custkey"]), cust_b,
+        how="left_semi", on=("o_custkey",), right_on=("c_custkey",),
     ).select_columns(["o_orderkey"]).materialize()
     # (materialized: both the bloom build and the exact semi join consume
     # it — without this the most expensive exchange would execute twice)
@@ -554,8 +544,8 @@ def q_top_orders_bloom(sf_dir: str):
     rev = _rev_by_order(sf_dir).map_batches(
         BloomPrune(bits_ref, "l_orderkey"), batch_format="pyarrow"
     )
-    agg = rev.join(
-        orders_b, "left_semi", num_partitions=JOIN_PARTS,
+    agg = auto_join(
+        rev, orders_b, how="left_semi",
         on=("l_orderkey",), right_on=("o_orderkey",),
     )
     agg = agg.rename_columns({"l_orderkey": "o_orderkey"})
@@ -581,7 +571,6 @@ def q_nation_revenue(sf_dir: str, force: str | None = None):
     Revenue is pre-scaled per row BEFORE the join so either plan carries
     (key, n_name, rev_s) only."""
     from ..sources.tables import read_table
-    from ..stages.joins import _scan_rooted_size, auto_join
     nation = _read(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"]).to_pandas()
     region = _read(sf_dir, "region", ["r_regionkey", "r_name"]).to_pandas()
     asia = set(region.loc[region["r_name"] == "ASIA", "r_regionkey"].tolist())
@@ -608,7 +597,6 @@ def q_nation_revenue(sf_dir: str, force: str | None = None):
     from ..kernels.lookup import IntLookup
 
     cust_scan = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    cust_bound = _scan_rooted_size(cust_scan)
     cust = cust_scan.map_batches(
         AttachNation(IntLookup(
             nation_asia["n_nationkey"].to_numpy(),
@@ -617,11 +605,10 @@ def q_nation_revenue(sf_dir: str, force: str | None = None):
         batch_format="pyarrow",
     )
     orders_scan = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    orders_bound = _scan_rooted_size(orders_scan)
     orders = auto_join(
         orders_scan, cust,
         on=("o_custkey",), right_on=("c_custkey",),
-        num_partitions=JOIN_PARTS, right_size_hint=cust_bound, force=force,
+        right_size_hint=_size_bound(cust_scan), force=force,
     ).select_columns(["o_orderkey", "n_name"])
 
     # combiner pushdown: per-order revenue partials BEFORE the fact join
@@ -629,7 +616,7 @@ def q_nation_revenue(sf_dir: str, force: str | None = None):
     joined = auto_join(
         _rev_by_order(sf_dir, full=False), orders,
         on=("l_orderkey",), right_on=("o_orderkey",),
-        num_partitions=JOIN_PARTS, right_size_hint=orders_bound, force=force,
+        right_size_hint=_size_bound(orders_scan), force=force,
     ).select_columns(["n_name", "revenue_s"])
     return tree_group_agg(joined, ["n_name"], {"revenue_s": ("revenue_s", "sum")})
 
@@ -652,8 +639,6 @@ GROUP BY 1
 
 
 def q_join_orders_customers(sf_dir: str):
-    from ..stages.joins import auto_join
-
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     # planner decision: customer is scan-rooted, so its parquet-metadata
@@ -663,7 +648,7 @@ def q_join_orders_customers(sf_dir: str):
     joined = auto_join(
         orders, cust,
         on=("o_custkey",), right_on=("c_custkey",),
-        how="inner", num_partitions=JOIN_PARTS,
+        how="inner",
     )
     return tree_group_agg(joined, ["c_mktsegment"], {"n_orders": (None, "count")})
 
@@ -1214,20 +1199,16 @@ def q_customers_without_orders(sf_dir: str, force: str | None = None):
     its scan-metadata upper bound picks the broadcast key-set mask at bench
     scale and the hash-partitioned ``Dataset.join(left_anti)`` exchange at
     a scale where the bound exceeds the limit (force pins either path)."""
-    from ..stages.joins import _scan_rooted_size, auto_join
 
-    orders_scan = _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-    orders_bound = _scan_rooted_size(orders_scan)
     urgent = (
-        orders_scan
+        _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
         .filter(expr="o_orderpriority == '1-URGENT'")
         .select_columns(["o_custkey"])
     )
     return auto_join(
         _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]), urgent,
-        how="left_anti", num_partitions=JOIN_PARTS,
-        on=("c_custkey",), right_on=("o_custkey",),
-        right_size_hint=orders_bound, force=force,
+        how="left_anti", on=("c_custkey",), right_on=("o_custkey",),
+        force=force,
     )
 
 
@@ -2060,21 +2041,11 @@ def q_large_orders(sf_dir: str):
         )
 
     orders = orders.map_batches(scale_tp, batch_format="pyarrow")
-    j = big.join(
-        orders, "inner", num_partitions=JOIN_PARTS,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-    )
-    # the qualifying-order side has no provable scan bound (an aggregate's
-    # output size isn't bounded by its input scan in any useful way), so
-    # that join stays a shuffle; the customer attach IS scan-bounded and
-    # planner-routes
-    from ..stages.joins import _scan_rooted_size, auto_join
+    # the mapped orders side carries no plan bound, so that join plans the
+    # shuffle; the customer attach is a bare scan and broadcasts
+    j = auto_join(big, orders, on=("l_orderkey",), right_on=("o_orderkey",))
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name"])
-    j = auto_join(
-        j, cust, num_partitions=JOIN_PARTS,
-        on=("o_custkey",), right_on=("c_custkey",),
-        right_size_hint=_scan_rooted_size(cust),
-    )
+    j = auto_join(j, cust, on=("o_custkey",), right_on=("c_custkey",))
     j = j.rename_columns({"l_orderkey": "o_orderkey"})
     return j.select_columns(["o_orderkey", "c_name", "total_price_c", "sum_qty"])
 
@@ -2118,10 +2089,9 @@ def q_promo_revenue(sf_dir: str):
         ["l_partkey"], {"rev_s": ("rev_s", "sum")},
     )  # partials only: the post-join reduce re-sums, so split keys are fine
 
-    from ..stages.joins import auto_join
     part = _read(sf_dir, "part", ["p_partkey", "p_type"])
     j = auto_join(
-        per_part, part, num_partitions=JOIN_PARTS,
+        per_part, part,
         on=("l_partkey",), right_on=("p_partkey",),
     )
 
@@ -2215,15 +2185,14 @@ def q_volume_shipping(sf_dir: str):
     # both build sides are bare scans: the planner reads their O(1)
     # parquet-metadata size and broadcasts under the limit (zero fact
     # shuffle at bench scale), hash-joins above it
-    from ..stages.joins import auto_join
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     j = auto_join(
-        li, orders, num_partitions=JOIN_PARTS,
+        li, orders,
         on=("l_orderkey",), right_on=("o_orderkey",),
     )
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     j = auto_join(
-        j, cust, num_partitions=JOIN_PARTS,
+        j, cust,
         on=("o_custkey",), right_on=("c_custkey",),
     )
 
@@ -2414,21 +2383,10 @@ def q_top_terms_per_doc(sf_dir: str, k: int = 3):
     # stay in the object store and spill — no driver copy)
     tf = _doc_tf(sf_dir).materialize()
     df = tree_group_agg(tf, ["term"], {"df": (None, "count")}).materialize()
-    # df is vocabulary-bounded: broadcast it as a per-batch pandas hash
-    # merge when its MEASURED size fits (tf already lands in parallel
-    # blocks from the grouped agg); the shuffle join stays the fallback
-    if df.size_bytes() <= BROADCAST_BUDGET:
-        df_pd = df.to_pandas()
-        from ..stages.treeagg import clean_arrow as _ca
-
-        joined = tf.map_batches(
-            lambda g: _ca(g.merge(df_pd, on="term")),
-            batch_format="pandas", batch_size=None,
-        )
-    else:
-        joined = tf.join(
-            df, "inner", num_partitions=JOIN_PARTS, on=("term",)
-        )
+    # df is vocabulary-bounded: the planner broadcasts it on its
+    # materialized size (tf already lands in parallel blocks from the
+    # grouped agg) and plans the shuffle join past the limit
+    joined = auto_join(tf, df, on=("term",))
 
     def block_prune(g: pd.DataFrame) -> pa.Table:
         from ..stages.treeagg import clean_arrow
@@ -2536,8 +2494,6 @@ FROM d
 
 
 def q_outlier_events(sf_dir: str, force: str | None = None):
-    from ..stages.joins import _scan_rooted_size, auto_join
-
     ds = _read(sf_dir, "events", ["event_id", "user_id", "value"])
 
     def prep(batch: pa.Table) -> pa.Table:
@@ -2563,11 +2519,11 @@ def q_outlier_events(sf_dir: str, force: str | None = None):
     # Under the limit -> broadcast (zero fact shuffle); at a scale where
     # the user population outgrows it the SAME code plans the partitioned
     # hash join (force='shuffle' pins that path).
-    key_scan = _scan_rooted_size(_read(sf_dir, "events", ["user_id"]))
+    key_scan = _size_bound(_read(sf_dir, "events", ["user_id"]))
     stats_bound = 4 * key_scan if key_scan is not None else None
     joined = auto_join(
         e.select_columns(["event_id", "user_id", "value_c"]), stats,
-        on=("user_id",), num_partitions=JOIN_PARTS,
+        on=("user_id",),
         right_size_hint=stats_bound, force=force,
     )
 
@@ -3161,12 +3117,9 @@ def q_corpus_dedup(sf_dir: str):
     # materialize it (already the CC output, small by construction) and
     # let the planner broadcast on measured size; a pathological corpus
     # where half the docs are dups falls back to the shuffle join
-    from ..stages.joins import auto_join
 
     comp = comp.materialize()
-    j = auto_join(docs, comp, on=("doc_id",), how="left_outer",
-                  num_partitions=JOIN_PARTS,
-                  right_size_hint=comp.size_bytes())
+    j = auto_join(docs, comp, on=("doc_id",), how="left_outer")
 
     def finish(batch: pa.Table) -> pa.Table:
         did = batch.column("doc_id")
@@ -3359,9 +3312,7 @@ def q_bm25_search(sf_dir: str, query_ids=(1, 2, 3, 5), k: int = 10,
         )
         probe = filt
     else:
-        probe = filt.join(
-            dl, "inner", num_partitions=JOIN_PARTS, on=("doc_id",)
-        )
+        probe = auto_join(filt, dl, on=("doc_id",))
     tot_f, n_f = float(tot), float(n_docs)
     qt_small = qt.copy()
 
@@ -3711,9 +3662,7 @@ def q_pagerank_dupgraph(sf_dir: str, iters: int = 5,
 
     edges = pairs.map_batches(sym, batch_format="pyarrow")
     deg = tree_group_agg(edges, ["src"], {"deg": (None, "count")}).materialize()
-    ej = edges.join(
-        deg, "inner", num_partitions=JOIN_PARTS, on=("src",)
-    ).materialize()
+    ej = auto_join(edges, deg, on=("src",)).materialize()
 
     def init_r(t: pa.Table) -> pa.Table:
         return pa.table(
@@ -3756,10 +3705,7 @@ def q_pagerank_dupgraph(sf_dir: str, iters: int = 5,
                 break
 
     for rnd in range(start_round, iters):
-        j = ej.join(
-            r, "inner", num_partitions=JOIN_PARTS,
-            on=("src",), right_on=("node",),
-        )
+        j = auto_join(ej, r, on=("src",), right_on=("node",))
         s = tree_group_agg(
             j.map_batches(contrib, batch_format="pyarrow"),
             ["dst"], {"s": ("c", "sum")},
@@ -3781,9 +3727,7 @@ def q_pagerank_dupgraph(sf_dir: str, iters: int = 5,
                 with open(_os.path.join(d, "_OK"), "w") as fh:
                     fh.write("ok")
 
-    out = deg.join(
-        r, "inner", num_partitions=JOIN_PARTS, on=("src",), right_on=("node",)
-    )
+    out = auto_join(deg, r, on=("src",), right_on=("node",))
 
     def finish(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -3906,10 +3850,7 @@ def q_bfs_hops(sf_dir: str, local_max_edges: int = 2_000_000):
         # shape — a filtered frontier right side would hand the hash-join
         # schema-less empty blocks); the frontier mask applies inside the
         # step map, vectorized
-        cand = edges.join(
-            dist, "inner", num_partitions=JOIN_PARTS,
-            on=("src",), right_on=("node",),
-        )
+        cand = auto_join(edges, dist, on=("src",), right_on=("node",))
 
         def step(batch: pa.Table, k=k) -> pa.Table:
             d = batch.column("dist").to_numpy()
@@ -4123,9 +4064,7 @@ def q_triangle_count(sf_dir: str, local_max_edges: int = 2_000_000):
     # Project-based rename_columns chokes on them)
     w1 = pairs.map_batches(_ren(["a", "b"]), batch_format="pyarrow")
     w2 = pairs.map_batches(_ren(["a2", "c"]), batch_format="pyarrow")
-    wedges = w1.join(
-        w2, "inner", num_partitions=JOIN_PARTS, on=("a",), right_on=("a2",)
-    )
+    wedges = auto_join(w1, w2, on=("a",), right_on=("a2",))
 
     def order(batch: pa.Table) -> pa.Table:
         b = batch.column("b").to_numpy()
@@ -4135,9 +4074,8 @@ def q_triangle_count(sf_dir: str, local_max_edges: int = 2_000_000):
 
     wedges = wedges.map_batches(order, batch_format="pyarrow").materialize()
     n_wedges = wedges.count()
-    closed = wedges.join(
-        pairs, "inner", num_partitions=JOIN_PARTS,
-        on=("b", "c"), right_on=("doc_a", "doc_b"),
+    closed = auto_join(
+        wedges, pairs, on=("b", "c"), right_on=("doc_a", "doc_b")
     )
     n_tri = closed.count()
     return ray.data.from_arrow(
@@ -4633,8 +4571,8 @@ def q_salted_join_skew(sf_dir: str, salts: int = 8):
              "value_c": pa.array(v)}
         )
 
-    j = ev.map_batches(prep, batch_format="pyarrow").join(
-        dim, "inner", num_partitions=JOIN_PARTS,
+    j = auto_join(
+        ev.map_batches(prep, batch_format="pyarrow"), dim,
         on=("ck", "salt"), right_on=("c_custkey", "d_salt"),
     )
     return tree_group_agg(
@@ -5258,9 +5196,8 @@ def q_events_cust_full_outer(sf_dir: str):
         ["ck"], {"n_events": (None, "count"), "sum_value_c": ("value_c", "sum")},
     )
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    j = agg.join(
-        cust, "full_outer", num_partitions=JOIN_PARTS,
-        on=("ck",), right_on=("c_custkey",),
+    j = auto_join(
+        agg, cust, how="full_outer", on=("ck",), right_on=("c_custkey",)
     )
 
     def finish(batch: pd.DataFrame) -> pd.DataFrame:
@@ -5558,9 +5495,7 @@ def q_source_kl_divergence(sf_dir: str):
         contrib_in = sw
     else:
         cw_ref = None
-        contrib_in = sw.join(
-            wtot_ds, "inner", num_partitions=JOIN_PARTS, on=("word",)
-        )
+        contrib_in = auto_join(sw, wtot_ds, on=("word",))
 
     def contrib(df: pd.DataFrame) -> pd.DataFrame:
         from ..stages.treeagg import clean_arrow
@@ -6756,13 +6691,10 @@ def q_cheapest_supplier_per_part(sf_dir: str):
             }
         )
 
-    from ..stages.joins import _scan_rooted_size, auto_join
-
     sup = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
     return auto_join(
         agg.map_batches(decompose, batch_format="pyarrow"), sup,
-        on=("s_suppkey",), how="inner", num_partitions=JOIN_PARTS,
-        right_size_hint=_scan_rooted_size(sup),
+        on=("s_suppkey",), how="inner",
     )
 
 
@@ -6830,13 +6762,11 @@ def q_rich_idle_customers(sf_dir: str):
         return batch.filter(pa.array(bal * n > s))
 
     rich = pos.map_batches(above, batch_format="pyarrow")
-    from ..stages.joins import _scan_rooted_size, auto_join
 
     orders = _read(sf_dir, "orders", ["o_custkey"])
     idle = auto_join(
         rich, orders, on=("c_custkey",), right_on=("o_custkey",),
-        how="left_anti", num_partitions=JOIN_PARTS,
-        right_size_hint=_scan_rooted_size(orders),
+        how="left_anti",
     )
     agg = tree_group_agg(
         idle, ["c_nationkey"],
@@ -7934,13 +7864,9 @@ def q_top_supplier(sf_dir: str):
         ),
         batch_format="pyarrow",
     )
-    from ..stages.joins import _scan_rooted_size, auto_join
 
     sup = _read(sf_dir, "supplier", ["s_suppkey", "s_name"])
-    return auto_join(
-        top, sup, on=("s_suppkey",), how="inner",
-        num_partitions=JOIN_PARTS, right_size_hint=_scan_rooted_size(sup),
-    )
+    return auto_join(top, sup, on=("s_suppkey",), how="inner")
 
 
 _SQL_TOP_SUPPLIER = """
@@ -8079,13 +8005,10 @@ def q_market_share(sf_dir: str, target_nation: int = 3):
             }
         )
 
-    from ..stages.joins import auto_join
-
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
     j = auto_join(
         li.map_batches(prep, batch_format="pandas"), orders,
         on=("l_orderkey",), right_on=("o_orderkey",),
-        num_partitions=JOIN_PARTS,
     )
 
     def add_year(batch: pa.Table) -> pa.Table:
@@ -8363,14 +8286,12 @@ def q_priority_semijoin_counts(sf_dir: str):
         li.map_batches(returned, batch_format="pyarrow"),
         ["l_orderkey"], {"n": (None, "count")},
     ).drop_columns(["n"]).materialize()
-    from ..stages.joins import auto_join
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     semi = auto_join(
         orders, keys,
         on=("o_orderkey",), right_on=("l_orderkey",),
-        how="left_semi", num_partitions=JOIN_PARTS,
-        right_size_hint=keys.size_bytes(),
+        how="left_semi",
     )
     return tree_group_agg(
         semi, ["o_orderpriority"], {"order_count": (None, "count")}
@@ -8707,13 +8628,11 @@ def q_negative_sampling(sf_dir: str, k: int = 4, fast: bool | None = None):
     n_parts = int(
         _pq.read_metadata(_os.path.join(sf_dir, "part.parquet")).num_rows
     )
-    from ..stages.joins import auto_join
 
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     pairs = auto_join(
         li, orders, on=("l_orderkey",), right_on=("o_orderkey",),
-        num_partitions=JOIN_PARTS,
     )
 
     # the (user, part) pair packs into ONE int64 (part < n_parts by
@@ -8800,10 +8719,7 @@ def q_negative_sampling(sf_dir: str, k: int = 4, fast: bool | None = None):
         )
 
     cand = users.map_batches(explode, batch_format="pyarrow")
-    j = auto_join(
-        cand, pos, on=("pk",), how="left_outer",
-        num_partitions=JOIN_PARTS, right_size_hint=pos.size_bytes(),
-    )
+    j = auto_join(cand, pos, on=("pk",), how="left_outer")
 
     def flag(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -9241,8 +9157,6 @@ def q_returned_items(sf_dir: str, force: str | None = None):
     sort-limit — deterministic under ties."""
     import pyarrow.dataset as pads
 
-    from ..stages.joins import _scan_rooted_size, auto_join
-
     li = _read(
         sf_dir, "lineitem",
         ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
@@ -9254,11 +9168,9 @@ def q_returned_items(sf_dir: str, force: str | None = None):
     )
 
     orders_scan = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    orders_bound = _scan_rooted_size(orders_scan)
     j = auto_join(
-        per_order, orders_scan, num_partitions=JOIN_PARTS,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        right_size_hint=orders_bound, force=force,
+        per_order, orders_scan,
+        on=("l_orderkey",), right_on=("o_orderkey",), force=force,
     )
     per_cust = tree_group_agg(
         j.select_columns(["o_custkey", "revenue_s"]),
@@ -9268,11 +9180,9 @@ def q_returned_items(sf_dir: str, force: str | None = None):
     cust_scan = _read(
         sf_dir, "customer", ["c_custkey", "c_name", "c_acctbal", "c_nationkey"]
     )
-    cust_bound = _scan_rooted_size(cust_scan)
     j = auto_join(
-        per_cust, cust_scan, num_partitions=JOIN_PARTS,
-        on=("o_custkey",), right_on=("c_custkey",),
-        right_size_hint=cust_bound, force=force,
+        per_cust, cust_scan,
+        on=("o_custkey",), right_on=("c_custkey",), force=force,
     )
 
     from ..kernels.lookup import IntLookup
@@ -9333,7 +9243,6 @@ def q_order_count_distribution(sf_dir: str, force: str | None = None):
     scan only through the aggregate, so the customer side — provably
     scan-bounded — is the probe). Null counts become 0, then a second tiny
     groupby yields the distribution."""
-    from ..stages.joins import _scan_rooted_size, auto_join
 
     per_cust = tree_group_agg(
         _read(sf_dir, "orders", ["o_custkey"]),
@@ -9341,7 +9250,7 @@ def q_order_count_distribution(sf_dir: str, force: str | None = None):
     )
     cust_scan = _read(sf_dir, "customer", ["c_custkey"])
     j = auto_join(
-        cust_scan, per_cust, how="left_outer", num_partitions=JOIN_PARTS,
+        cust_scan, per_cust, how="left_outer",
         on=("c_custkey",), right_on=("o_custkey",), force=force,
     )
 
@@ -9377,10 +9286,8 @@ def q_small_qty_revenue(sf_dir: str, force: str | None = None):
     the correlated predicate in integers: qty < 0.2 * (sum/cnt)  <=>
     10*qty*cnt < 2*sum_qty — no float division anywhere, so the oracle
     matches bit-for-bit."""
-    from ..stages.joins import _scan_rooted_size, auto_join
 
     part_scan = _read(sf_dir, "part", ["p_partkey", "p_brand"])
-    part_bound = _scan_rooted_size(part_scan)
     brand_parts = part_scan.filter(expr="p_brand == 'Brand#12'").select_columns(
         ["p_partkey"]
     )
@@ -9389,9 +9296,8 @@ def q_small_qty_revenue(sf_dir: str, force: str | None = None):
         sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"]
     )
     li_brand = auto_join(
-        li, brand_parts, how="left_semi", num_partitions=JOIN_PARTS,
-        on=("l_partkey",), right_on=("p_partkey",),
-        right_size_hint=part_bound, force=force,
+        li, brand_parts, how="left_semi",
+        on=("l_partkey",), right_on=("p_partkey",), force=force,
     )
 
     def qprep(batch: pa.Table) -> pa.Table:
@@ -9417,9 +9323,8 @@ def q_small_qty_revenue(sf_dir: str, force: str | None = None):
     ).materialize()  # one row per brand part: measured-size broadcast
 
     j = auto_join(
-        small, stats, num_partitions=JOIN_PARTS,
-        on=("l_partkey",), right_on=("l_partkey",),
-        right_size_hint=stats.size_bytes(), force=force,
+        small, stats,
+        on=("l_partkey",), right_on=("l_partkey",), force=force,
     )
 
     def corr(batch: pa.Table) -> pa.Table:
@@ -9462,18 +9367,15 @@ def q_disjunctive_revenue(sf_dir: str, force: str | None = None):
     the joined batch; the global sum folds through a constant-key combiner
     tree. Per (brand, arm) subtotals are emitted so the result exposes
     which arm contributed what."""
-    from ..stages.joins import _scan_rooted_size, auto_join
 
     part_scan = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"])
-    part_bound = _scan_rooted_size(part_scan)
     li = _read(
         sf_dir, "lineitem",
         ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
     )
     j = auto_join(
-        li, part_scan, num_partitions=JOIN_PARTS,
-        on=("l_partkey",), right_on=("p_partkey",),
-        right_size_hint=part_bound, force=force,
+        li, part_scan,
+        on=("l_partkey",), right_on=("p_partkey",), force=force,
     )
 
     ARMS = [
@@ -9553,7 +9455,6 @@ def q_product_profit(sf_dir: str, force: str | None = None):
     carries (l_orderkey, n_name, profit_s) only; the (nation, year) regroup
     is a tiny combiner-tree exchange."""
     from ..kernels.lookup import IntLookup
-    from ..stages.joins import _scan_rooted_size, auto_join
 
     part = _read(
         sf_dir, "part", ["p_partkey", "p_name", "p_retailprice"]
@@ -9607,12 +9508,10 @@ def q_product_profit(sf_dir: str, force: str | None = None):
             )
 
     orders_scan = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
-    orders_bound = _scan_rooted_size(orders_scan)
     j = auto_join(
         li.map_batches(Profit(cost_c, supp_nation), batch_format="pyarrow"),
         orders_scan,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        num_partitions=JOIN_PARTS, right_size_hint=orders_bound, force=force,
+        on=("l_orderkey",), right_on=("o_orderkey",), force=force,
     )
 
     def add_year(batch: pa.Table) -> pa.Table:
@@ -9664,8 +9563,6 @@ def q_shipmode_priority(sf_dir: str, force: str | None = None):
     2-row combiner tree."""
     import pyarrow.dataset as pads
 
-    from ..stages.joins import _scan_rooted_size, auto_join
-
     lo = pd.Timestamp("2000-01-01")
     hi = pd.Timestamp("2001-01-01")
     li = _read(
@@ -9674,11 +9571,9 @@ def q_shipmode_priority(sf_dir: str, force: str | None = None):
     ).select_columns(["l_orderkey", "l_linestatus"])
 
     orders_scan = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    orders_bound = _scan_rooted_size(orders_scan)
     j = auto_join(
         li, orders_scan,
-        on=("l_orderkey",), right_on=("o_orderkey",),
-        num_partitions=JOIN_PARTS, right_size_hint=orders_bound, force=force,
+        on=("l_orderkey",), right_on=("o_orderkey",), force=force,
     )
 
     def split(batch: pa.Table) -> pa.Table:
@@ -9729,10 +9624,8 @@ def q_promo_part_suppliers(sf_dir: str, force: str | None = None):
     back by MEASURED-size broadcast. Stage 2 filters the over-share pairs
     vectorized and regroups per supplier; supplier name + nation attach as
     a task-fn dict. lineitem is scanned exactly once."""
-    from ..stages.joins import _scan_rooted_size, auto_join
 
     part_scan = _read(sf_dir, "part", ["p_partkey", "p_name"])
-    part_bound = _scan_rooted_size(part_scan)
     import pyarrow.compute as pc
 
     def hot_only(batch: pa.Table) -> pa.Table:
@@ -9743,9 +9636,9 @@ def q_promo_part_suppliers(sf_dir: str, force: str | None = None):
 
     li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_quantity"])
     li_hot = auto_join(
-        li, hot, how="left_semi", num_partitions=JOIN_PARTS,
+        li, hot, how="left_semi",
         on=("l_partkey",), right_on=("p_partkey",),
-        right_size_hint=part_bound, force=force,
+        right_size_hint=_size_bound(part_scan), force=force,
     )
 
     def qprep(batch: pa.Table) -> pa.Table:
@@ -9769,9 +9662,7 @@ def q_promo_part_suppliers(sf_dir: str, force: str | None = None):
     ).materialize()
 
     j = auto_join(
-        sp, pt, num_partitions=JOIN_PARTS,
-        on=("l_partkey",), right_on=("l_partkey",),
-        right_size_hint=pt.size_bytes(), force=force,
+        sp, pt, on=("l_partkey",), right_on=("l_partkey",), force=force
     )
 
     def over_share(batch: pa.Table) -> pa.Table:
@@ -11196,10 +11087,7 @@ def q_sssp_weighted(sf_dir: str, local_max_edges: int = 2_000_000):
     ).materialize()
 
     for _ in range(_SSSP_ROUNDS):
-        cand = edges.join(
-            dist, "inner", num_partitions=JOIN_PARTS,
-            on=("src",), right_on=("node",),
-        )
+        cand = auto_join(edges, dist, on=("src",), right_on=("node",))
 
         def step(batch: pa.Table) -> pa.Table:
             d = batch.column("dist").to_numpy()
@@ -11835,7 +11723,6 @@ def q_bom_explode(sf_dir: str):
     fixpoints (J[0] = (0, 0)), so no done/pending split is needed; the
     loop stops when max(anc) == 0. The oracle walks the same recurrence
     one edge per row as a DuckDB WITH RECURSIVE twin."""
-    from ..stages.joins import auto_join
 
     parts = _read(sf_dir, "part", ["p_partkey"])
 
@@ -11865,8 +11752,7 @@ def q_bom_explode(sf_dir: str):
             break
         jump = J.rename_columns({"k": "jk", "anc": "janc", "dep": "jdep"})
         J = (
-            auto_join(J, jump, on=("anc",), right_on=("jk",),
-                      num_partitions=JOIN_PARTS)
+            auto_join(J, jump, on=("anc",), right_on=("jk",))
             .map_batches(step, batch_format="pyarrow")
             .materialize()
         )
@@ -12677,7 +12563,6 @@ def q_l_diversity(sf_dir: str):
     Plan: one distinct combiner on (qid, sensitive) — the classic
     two-level distinct-then-count without ever shipping row payloads —
     then a tiny (qid) count. Oracle mirrors both levels."""
-    from ..stages.joins import auto_join
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey", "c_acctbal"])
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])

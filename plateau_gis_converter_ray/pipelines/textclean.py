@@ -54,13 +54,8 @@ def _write_docs(ds, stage_dir: str) -> int:
 
 def run_text_clean(sf_dir: str, out_dir: str, budget: int = 256) -> dict:
     """Run (or resume) the four-stage clean; returns per-stage metrics."""
-    from .queries import (
-        JOIN_PARTS,
-        _read,
-        q_contamination,
-        q_corpus_dedup,
-        q_sequence_pack,
-    )
+    from ..stages.joins import auto_join
+    from .queries import _read, q_contamination, q_corpus_dedup, q_sequence_pack
 
     config = {"sf_dir": sf_dir, "budget": budget, "stages": list(STAGES)}
     manifest = PartitionManifest(out_dir, config)
@@ -158,10 +153,11 @@ def run_text_clean(sf_dir: str, out_dir: str, budget: int = 256) -> dict:
             ).select(["doc_id"])
 
         kept_ids = labels.map_batches(only_kept, batch_format="pyarrow")
-        survivors = _read(
+        docs = _read(
             exact_dir, "documents",
             ["doc_id", "text", "lang", "source", "n_chars"],
-        ).join(kept_ids, "inner", num_partitions=JOIN_PARTS, on=("doc_id",))
+        )
+        survivors = auto_join(docs, kept_ids, on=("doc_id",))
         rows_out = _write_docs(survivors, d_dedup)
         commit("dedup", rows_in, rows_out, t0)
         # the exact-dedup intermediate is only an input to this stage;
@@ -191,9 +187,7 @@ def run_text_clean(sf_dir: str, out_dir: str, budget: int = 256) -> dict:
             return batch.filter(ok).select(["doc_id"])
 
         ids = probe.map_batches(clean_ids, batch_format="pyarrow")
-        survivors = docs.join(
-            ids, "inner", num_partitions=JOIN_PARTS, on=("doc_id",)
-        )
+        survivors = auto_join(docs, ids, on=("doc_id",))
         rows_out = _write_docs(survivors, d_decontam)
         commit("decontam", rows_in, rows_out, t0)
 

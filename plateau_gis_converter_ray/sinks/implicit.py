@@ -158,9 +158,11 @@ def implicit_subtrees(tiles_ds, subtree_levels: int = 4):
     ``tiles_ds``: Dataset of distinct occupied tiles (columns z, x, y).
     Returns a Dataset of (root_level, root_x, root_y, blob, n_tile_bits,
     n_content_bits, n_child_bits) — one row per subtree, built fully in
-    parallel after one distinct exchange on (subtree, bit) pairs.
+    parallel after one distinct exchange on (subtree, bit) pairs: the
+    subtrees are spread over ``grouped_apply``'s groups, and each call
+    builds every subtree of its batch.
     """
-    from ..stages.treeagg import tree_group_agg
+    from ..stages.treeagg import grouped_apply, key_runs, tree_group_agg
 
     S = int(subtree_levels)
 
@@ -219,28 +221,30 @@ def implicit_subtrees(tiles_ds, subtree_levels: int = 4):
         {"n": (None, "count")},
     )
 
-    def build(g: pd.DataFrame) -> pd.DataFrame:
+    keys = ["rl", "rx", "ry"]
+
+    def build(g: pd.DataFrame) -> dict:
         kind = g["kind"].to_numpy()
         bit = g["bit"].to_numpy()
         tile = np.unique(bit[kind <= 1])
         content = np.unique(bit[kind == 1])
         child = np.unique(bit[kind == 2])
-        blob = encode_subtree(tile, content, child, S)
-        return pd.DataFrame(
-            {
-                "root_level": g["rl"].iloc[:1].astype(np.int64),
-                "root_x": g["rx"].iloc[:1].astype(np.int64),
-                "root_y": g["ry"].iloc[:1].astype(np.int64),
-                "blob": pd.Series([blob], index=g.index[:1], dtype=object),
-                "n_tile_bits": np.int64(len(tile)),
-                "n_content_bits": np.int64(len(content)),
-                "n_child_bits": np.int64(len(child)),
-            }
-        )
+        rl, rx, ry = (int(v) for v in g[keys].iloc[0])
+        return {
+            "root_level": rl,
+            "root_x": rx,
+            "root_y": ry,
+            "blob": encode_subtree(tile, content, child, S),
+            "n_tile_bits": len(tile),
+            "n_content_bits": len(content),
+            "n_child_bits": len(child),
+        }
 
-    return pairs.groupby(["rl", "rx", "ry"]).map_groups(
-        build, batch_format="pandas"
-    )
+    def build_batch(b: pd.DataFrame) -> pd.DataFrame:
+        b, runs = key_runs(b, keys)
+        return pd.DataFrame([build(b.iloc[s:e]) for s, e in runs])
+
+    return grouped_apply(pairs, keys, build_batch)
 
 
 def write_implicit_tileset(

@@ -201,6 +201,7 @@ def write_ply_from_triangles(tri_ds, path: str) -> dict:
     distinct_ds = ray.data.from_arrow_refs([r for r, _ in out_refs])
     occ_ds = ray.data.from_arrow_refs([o for _, o in out_refs])
 
+    from ..stages.joins import auto_join
     from ..stages.treeagg import tree_group_agg
 
     g = tree_group_agg(
@@ -230,8 +231,8 @@ def write_ply_from_triangles(tri_ds, path: str) -> dict:
     mapping = ray.data.from_arrow_refs(
         [assign_idx.remote(ref, int(gbase[i])) for i, ref in enumerate(grefs)]
     )
-    faces = occ_ds.join(
-        mapping, "inner", num_partitions=8, on=("k0", "k1", "k2")
+    faces = auto_join(
+        occ_ds, mapping, on=("k0", "k1", "k2")
     ).select_columns(["pos", "vidx"]).sort("pos")
 
     with open(tmp, "wb") as f:

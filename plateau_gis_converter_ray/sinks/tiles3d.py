@@ -137,7 +137,7 @@ def write_tiles_3dt(ds, out_dir: str, attr_schema: dict | None = None):
     call writes every tile of its batch, one tile per run of the batch
     sorted by tile key (stable, so a tile keeps the row order it came in).
     """
-    from ..stages.treeagg import grouped_apply
+    from ..stages.treeagg import grouped_apply, key_runs
 
     os.makedirs(out_dir, exist_ok=True)
     schema = attr_schema or {"Feature": {"pid": "string"}}
@@ -187,10 +187,7 @@ def write_tiles_3dt(ds, out_dir: str, attr_schema: dict | None = None):
                 "glb_bytes": len(glb), "content": f"{z}/{x}/{y}.glb"}
 
     def write_batch(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.sort_values(keys, kind="stable").reset_index(drop=True)
-        k = b[keys].to_numpy()
-        starts = np.flatnonzero(np.r_[True, (k[1:] != k[:-1]).any(axis=1)])
-        ends = np.r_[starts[1:], len(b)]
-        return pd.DataFrame([write_tile(b.iloc[s:e]) for s, e in zip(starts, ends)])
+        b, runs = key_runs(b, keys)
+        return pd.DataFrame([write_tile(b.iloc[s:e]) for s, e in runs])
 
     return grouped_apply(ds, keys, write_batch)

@@ -290,10 +290,7 @@ def assemble_atlases(images, placements, grid: int = 8, force: str | None = None
             )
 
         left = images.map_batches(add_idx, batch_format="pyarrow")
-        j = auto_join(
-            left, pl, on=("idx",), num_partitions=4,
-            right_size_hint=pl.size_bytes(), force="shuffle",
-        )
+        j = auto_join(left, pl, on=("idx",), force="shuffle")
 
         def keyit(batch: pa.Table) -> pa.Table:
             return pa.table(

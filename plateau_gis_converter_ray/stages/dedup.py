@@ -151,7 +151,7 @@ def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.5):
     # never the whole corpus). Both feed the same verify kernel.
     import ray as _ray
 
-    from .joins import DEFAULT_BROADCAST_LIMIT
+    from .joins import DEFAULT_BROADCAST_LIMIT, auto_join
 
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
@@ -199,14 +199,10 @@ def minhash_lsh_candidates(sf_dir: str, jaccard_threshold: float = 0.5):
         return cand.repartition(16).map_batches(
             verify_b, batch_format="pandas"
         )
-    # 4-way like JOIN_PARTS: the aggregator pools of two chained 16-way
-    # joins outgrow a 4-CPU node together and stall
-    j = cand.join(
-        codes_ds, "inner", num_partitions=4, on=("doc_a",), right_on=("doc_id",)
-    )
-    j = j.join(
-        codes_ds, "inner", num_partitions=4, on=("doc_b",), right_on=("doc_id",),
-        right_suffix="_b",
+    j = auto_join(cand, codes_ds, on=("doc_a",), right_on=("doc_id",))
+    j = auto_join(
+        j, codes_ds.rename_columns({"grams": "grams_b"}),
+        on=("doc_b",), right_on=("doc_id",),
     )
 
     def verify_j(batch: pd.DataFrame) -> pd.DataFrame:

@@ -1,27 +1,36 @@
 """Join planning: broadcast map-side join vs hash-shuffle join.
 
-The repo's query plans pick their join strategy by hand (broadcast for
-nation x region, hash shuffle for orders x customer). ``auto_join`` makes
-that choice an engine decision, the way the reference's pipeline builder
-resolves transforms from sink requirements (nusamai/src/transformer): it
-broadcasts the build side when — and only when — its size is *provably*
-small, and otherwise plans the partitioned hash join.
+``auto_join`` is the engine's one join entry: no other module calls
+``Dataset.join``. It makes broadcast vs shuffle an engine decision, the
+way the reference's pipeline builder resolves transforms from sink
+requirements (nusamai/src/transformer): it broadcasts the build side when
+— and only when — its size is *provably* small, and otherwise plans the
+partitioned hash join over :data:`JOIN_PARTITIONS` partitions.
 
 Size evidence, in order:
-1. an explicit ``right_size_hint`` in bytes (caller knowledge);
-2. ``Dataset.size_bytes()``, which is O(1) parquet-footer metadata for
-   scan-rooted plans (``read_parquet`` + column pruning only) — checked via
-   the logical dag so a transformed plan is NEVER executed just to measure
-   it (executing an unknown-size side to discover it is too big would be
-   the scale bug this module exists to avoid).
-If neither gives a bound, the shuffle join is planned.
+1. an explicit ``right_size_hint`` in bytes — caller knowledge the plan
+   cannot show (a semi-join output bounded by its scan, a per-key stats
+   table bounded by a multiple of its key column);
+2. :func:`_size_bound`, read off the build side's logical plan and never
+   executed (executing an unknown-size side to discover it is too big
+   would be the scale bug this module exists to avoid):
+   - a bare read: its O(1) parquet-footer metadata size;
+   - ``Filter`` / ``Project`` (select, drop, rename) / ``Limit`` over a
+     read: that read's size, since those operators only shrink it;
+   - an in-memory dataset (``from_arrow``, ``from_pandas``,
+     ``.materialize()``): its block-metadata size;
+   - nothing for any other plan.
+If neither gives a bound, or the join type emits unmatched right rows
+(``full_outer``, ``right_outer``), the shuffle join is planned. A sampled
+output-size estimate would slot in as a third rule.
 
 The broadcast path puts the build table in the object store ONCE
 (``ray.put``) and every map task does a vectorized pandas merge against
 it — zero shuffle of the probe side, the plan for a dimension that fits
 in worker heap at every node. At 10^12 probe rows that saves the full
-all-to-all exchange; above ``broadcast_limit_bytes`` the partitioned
-``Dataset.join`` keeps memory bounded instead.
+all-to-all exchange; above ``DEFAULT_BROADCAST_LIMIT`` (read at call time,
+so a test can lower it) the partitioned ``Dataset.join`` keeps memory
+bounded instead.
 """
 
 from __future__ import annotations
@@ -30,21 +39,38 @@ import pandas as pd
 
 DEFAULT_BROADCAST_LIMIT = 64 << 20  # 64 MiB of Arrow bytes per worker heap
 
+# hash-join exchange width, the engine's one partition count. Measured on
+# the single-node harness: 8+ partitions ran slower, because each join's
+# aggregator actors contend with the other stages for CPUs (two chained
+# 16-way joins stalled a 4-CPU node), and a sweep over {2, 4, 8, 16} on
+# nation_revenue was flat (the cost is the join's exchanges, not its
+# width; BASELINE.md)
+JOIN_PARTITIONS = 4
 
-def _scan_rooted_size(ds) -> int | None:
-    """size_bytes() only when the logical plan is a bare read (O(1) from
-    parquet metadata); None for any transformed plan."""
+# logical operators that only drop rows or columns of their input
+_SHRINKING = ("Filter", "Project", "Limit")
+_BROADCAST_HOWS = ("inner", "left_outer", "left_semi", "left_anti")
+
+
+def _size_bound(ds) -> int | None:
+    """Bytes bound on ``ds`` read off its logical plan, never executed:
+    a root's (read or in-memory source) metadata size, or for a chain of
+    filters / projections / limits over a read, that read's size. None for
+    any other plan."""
     try:
-        dag = ds._plan._logical_plan.dag
-        if type(dag).__name__ in ("Read", "ReadParquet"):
-            return ds.size_bytes()
-    except Exception:
-        pass
-    return None
+        op = ds._plan._logical_plan.dag
+        shrunk = False
+        while type(op).__name__ in _SHRINKING and getattr(op, "exprs", None) is None:
+            op, shrunk = op.input_dependencies[0], True
+        if op.input_dependencies or (shrunk and type(op).__name__ != "Read"):
+            return None
+        return op.infer_metadata().size_bytes
+    except AttributeError:  # a plan shape this walk does not know
+        return None
 
 
 def _block_bound(ds) -> int | None:
-    """Upper bound on the blocks ``ds`` emits, read off its logical plan
+    """Estimate of the blocks ``ds`` emits, read off its logical plan
     (never executed); None when the plan carries no evidence.
     ``initial_num_blocks()`` will not do: it reports a one-file read as 1
     block however many blocks the read emits.
@@ -54,7 +80,9 @@ def _block_bound(ds) -> int | None:
     in-memory source emits its partition count. Any of them splits off one
     more block per ``target_max_block_size`` of output, so the source bytes
     under it count too. One-input ops pass the bound through; a union sums
-    its inputs'."""
+    its inputs'. That makes it an upper bound only for plans whose maps
+    keep or shrink their rows: a row-expanding map (a tile fan-out) splits
+    its larger output into more blocks than the bound says."""
     from ray.data import DataContext
 
     ctx = DataContext.get_current()
@@ -97,8 +125,6 @@ def auto_join(
     on: tuple,
     right_on: tuple | None = None,
     how: str = "inner",
-    num_partitions: int = 4,
-    broadcast_limit_bytes: int = DEFAULT_BROADCAST_LIMIT,
     right_size_hint: int | None = None,
     force: str | None = None,
 ):
@@ -108,45 +134,35 @@ def auto_join(
     broadcast path supports ``inner`` and ``left_outer`` (vectorized merge)
     plus ``left_semi`` and ``left_anti`` (vectorized key-membership mask —
     the build side reduces to its key set, so the broadcast payload is even
-    smaller); right-emitting join types need the shuffle plan.
+    smaller); right-emitting join types plan the shuffle.
     """
     right_on = right_on or on
+    limit = DEFAULT_BROADCAST_LIMIT
     strategy = force
     if strategy is None:
-        est = (
-            right_size_hint
-            if right_size_hint is not None
-            else _scan_rooted_size(right)
-        )
+        est = right_size_hint if right_size_hint is not None else _size_bound(right)
         strategy = (
             "broadcast"
-            if est is not None and est <= broadcast_limit_bytes
+            if how in _BROADCAST_HOWS and est is not None and est <= limit
             else "shuffle"
         )
 
-    if strategy == "shuffle":
+    def shuffle():
         return left.join(
             right,
             join_type=how,
-            num_partitions=num_partitions,
+            num_partitions=JOIN_PARTITIONS,
             on=on,
             right_on=right_on,
         )
 
-    if how not in ("inner", "left_outer", "left_semi", "left_anti"):
+    if strategy == "shuffle":
+        return shuffle()
+    if how not in _BROADCAST_HOWS:
         raise ValueError(f"broadcast join does not support how={how!r}")
     import ray
 
     lk, rk = list(on), list(right_on)
-
-    def _shuffle_fallback():
-        return left.join(
-            right,
-            join_type=how,
-            num_partitions=num_partitions,
-            on=on,
-            right_on=right_on,
-        )
 
     if how in ("left_semi", "left_anti"):
         keys = right.select_columns(rk).to_pandas().drop_duplicates()
@@ -156,10 +172,9 @@ def auto_join(
         if (
             force is None
             and len(keys)
-            and broadcast_limit_bytes is not None
-            and keys.memory_usage(deep=True).sum() > 4 * broadcast_limit_bytes
+            and keys.memory_usage(deep=True).sum() > 4 * limit
         ):
-            return _shuffle_fallback()
+            return shuffle()
         ref = ray.put(pd.MultiIndex.from_frame(keys))
         keep_if = how == "left_semi"
 
@@ -191,14 +206,13 @@ def auto_join(
     if (
         force is None
         and len(build)
-        and broadcast_limit_bytes is not None
-        and build.memory_usage(deep=True).sum() > 4 * broadcast_limit_bytes
+        and build.memory_usage(deep=True).sum() > 4 * limit
     ):
         # the metadata bound under-estimated the in-memory build (e.g. a
         # dictionary-compressed string dim): fall back to the shuffle plan
         # instead of broadcasting past the budget — the bound is advisory,
         # this runtime check is the enforcement
-        return _shuffle_fallback()
+        return shuffle()
     if how == "left_outer":
         # unmatched probe rows null the build columns; pandas merge would
         # coerce int64 -> float64 NaN there, diverging from the shuffle

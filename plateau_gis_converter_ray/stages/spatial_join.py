@@ -142,6 +142,11 @@ def pip_cell_join(sf_dir: str, nx: int = 24, ny: int = 22):
     deterministic overlap resolution) collapses through the combiner tree.
     Returns (muni_id, n, sum_value_c) aggregates, bit-identical to running
     the broadcast-STRtree ``PIPAssign`` over the same points.
+
+    The join goes through ``auto_join``: a small polygon side (the
+    in-memory cell index, its size known from block metadata) is
+    broadcast to the point batches, and a polygon side past the broadcast
+    limit keeps the hash-shuffle plan on the cell key.
     """
     import ray.data
 
@@ -149,6 +154,7 @@ def pip_cell_join(sf_dir: str, nx: int = 24, ny: int = 22):
     from ..sources.municipalities import municipality_polygons
     from ..sources.tables import read_table
     from .geocode import add_lnglat_arith
+    from .joins import auto_join
     from .treeagg import tree_group_agg
 
     polys = municipality_polygons()
@@ -175,8 +181,8 @@ def pip_cell_join(sf_dir: str, nx: int = 24, ny: int = 22):
             }
         )
 
-    cand = pts.map_batches(prep, batch_format="pyarrow").join(
-        poly_cells, "inner", num_partitions=4, on=("cell",)
+    cand = auto_join(
+        pts.map_batches(prep, batch_format="pyarrow"), poly_cells, on=("cell",)
     )
 
     def verify(batch: pa.Table) -> pa.Table:

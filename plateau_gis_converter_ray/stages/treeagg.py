@@ -221,6 +221,16 @@ def grouped_apply(ds, keys: list[str], fn, batch_format: str = "pandas"):
     )
 
 
+def key_runs(b: pd.DataFrame, keys: list[str]):
+    """``b`` stably sorted by ``keys`` and the ``(start, end)`` row range of
+    each key's run in it: how a :func:`grouped_apply` ``fn`` that builds
+    one output per key walks the several keys of its batch."""
+    b = b.sort_values(keys, kind="stable").reset_index(drop=True)
+    k = b[keys].to_numpy()
+    starts = np.flatnonzero(np.r_[True, (k[1:] != k[:-1]).any(axis=1)])
+    return b, zip(starts, np.r_[starts[1:], len(b)])
+
+
 def grouped_distinct(ds, cols: list[str]):
     """Parallel exact DISTINCT on ``cols``.
 

@@ -75,39 +75,139 @@ def test_auto_join_left_outer_int_payload(ray_session):
     assert sa["payload"] == "int64", sa
 
 
-def test_auto_join_strategy_choice(ray_session):
+def _strategy(ds) -> str:
+    """The plan auto_join picked: a Join operator on top is the shuffle."""
+    top = type(ds._plan._logical_plan.dag).__name__
+    return "shuffle" if top == "Join" else "broadcast"
+
+
+def test_size_bound_reads_the_plan(ray_session, monkeypatch):
+    """_size_bound reads a bare read's metadata size, passes it through
+    filters / projections / limits over that read, reads an in-memory
+    dataset's block metadata, and gives no bound for a mapped plan — all
+    without executing anything."""
+    import pyarrow as pa
+    import ray.data
+    from ray.data._internal.plan import ExecutionPlan
+
     from plateau_gis_converter_ray.sources.tables import read_table
-    from plateau_gis_converter_ray.stages.joins import _scan_rooted_size
+    from plateau_gis_converter_ray.stages.joins import _size_bound
 
     cust = read_table(SF, "customer", ["c_custkey", "c_mktsegment"])
-    # scan-rooted: free metadata size, no execution
-    est = _scan_rooted_size(cust)
-    assert est is not None and 0 < est < (64 << 20)
-    # transformed plan: planner must refuse to measure (returns None)
+    arrow = ray.data.from_arrow(pa.table({"k": list(range(100))}))
+    pdf = ray.data.from_pandas(pd.DataFrame({"k": list(range(100))}))
+    mat = cust.select_columns(["c_custkey"]).materialize()
+    expect = [cust.size_bytes(), arrow.size_bytes(), pdf.size_bytes(),
+              mat.size_bytes()]
+
+    def never(*a, **k):
+        raise AssertionError("_size_bound executed a plan")
+
+    monkeypatch.setattr(ExecutionPlan, "execute", never)
+    monkeypatch.setattr(ExecutionPlan, "execute_to_iterator", never)
+    assert 0 < expect[0] < (64 << 20)
+    assert [_size_bound(d) for d in (cust, arrow, pdf, mat)] == expect
+    assert min(expect) > 0
+    shrunk = (
+        cust.filter(expr="c_mktsegment == 'BUILDING'")
+        .select_columns(["c_custkey"])
+        .rename_columns({"c_custkey": "k"})
+        .limit(10)
+    )
+    assert _size_bound(shrunk) == expect[0]
+    # a map can grow its input: no bound, above it or below a projection
     mapped = cust.map_batches(lambda b: b, batch_format="pyarrow")
-    assert _scan_rooted_size(mapped) is None
+    assert _size_bound(mapped) is None
+    assert _size_bound(mapped.select_columns(["c_custkey"])) is None
 
 
-def test_auto_join_hint_overrides(ray_session):
-    """A size hint above the limit forces the shuffle plan even for a tiny
-    scan-rooted side (and the result is still correct)."""
+def test_auto_join_full_outer_small_side_plans_shuffle(ray_session):
+    """A right-emitting join type is planned as the shuffle even when the
+    build side is small enough to broadcast (in memory, or a bare scan),
+    and returns the pandas-merge rows."""
+    import ray.data
+
     from plateau_gis_converter_ray.sources.tables import read_table
     from plateau_gis_converter_ray.stages.joins import auto_join
 
-    orders = read_table(SF, "orders", ["o_orderkey", "o_custkey"])
-    cust = read_table(SF, "customer", ["c_custkey", "c_mktsegment"])
-    out = auto_join(
-        orders, cust, on=("o_custkey",), right_on=("c_custkey",),
-        right_size_hint=1 << 40,
-    ).to_pandas()
+    lpd = pd.DataFrame({"k": [1, 2, 3, 4, 30], "a": [10, 20, 30, 40, 50]})
+    rpd = pd.DataFrame({"rk": [3, 4, 5], "b": [300, 400, 500]})
+    nation = pd.read_parquet(f"{SF}/nation.parquet", columns=["n_nationkey"])
+    cases = [
+        (lpd, ray.data.from_pandas(rpd), rpd, "rk"),
+        # the nation key is int32; the join needs equal key types
+        (lpd.astype({"k": "int32"}), read_table(SF, "nation", ["n_nationkey"]),
+         nation, "n_nationkey"),
+    ]
+    for ldf, right, rdf, rk in cases:
+        j = auto_join(
+            ray.data.from_pandas(ldf), right,
+            on=("k",), right_on=(rk,), how="full_outer",
+        )
+        assert _strategy(j) == "shuffle"
+        exp = ldf.merge(rdf, how="outer", left_on="k", right_on=rk)
+
+        def norm(df):
+            # an unmatched right row carries its key in rk; fold it into k
+            k = df["k"].fillna(df[rk]) if rk in df.columns else df["k"]
+            out = df.assign(k=k).drop(columns=[rk], errors="ignore")
+            out = out.astype("float64")
+            return out.sort_values(list(out.columns)).reset_index(drop=True)
+
+        got = norm(j.to_pandas())
+        pd.testing.assert_frame_equal(got[sorted(got.columns)],
+                                      norm(exp)[sorted(got.columns)])
+
+
+def test_auto_join_hint_overrides(ray_session, monkeypatch):
+    """An explicit size hint overrides the plan bound both ways, against
+    the broadcast limit read when auto_join is called, and both plans give
+    the same rows."""
+    from plateau_gis_converter_ray.sources.tables import read_table
+    from plateau_gis_converter_ray.stages import joins
+
+    def run(**kw):
+        orders = read_table(SF, "orders", ["o_orderkey", "o_custkey"])
+        cust = read_table(SF, "customer", ["c_custkey", "c_mktsegment"])
+        return joins.auto_join(
+            orders, cust, on=("o_custkey",), right_on=("c_custkey",), **kw
+        )
+
     exp = pd.read_parquet(f"{SF}/orders.parquet", columns=["o_orderkey", "o_custkey"]).merge(
         pd.read_parquet(f"{SF}/customer.parquet", columns=["c_custkey", "c_mktsegment"]),
         left_on="o_custkey", right_on="c_custkey",
     )
-    assert len(out) == len(exp)
-    assert np.array_equal(
-        np.sort(out["o_orderkey"].to_numpy()), np.sort(exp["o_orderkey"].to_numpy())
-    )
+    exp_keys = np.sort(exp["o_orderkey"].to_numpy())
+
+    assert _strategy(run()) == "broadcast"  # the scan bound is under the limit
+    plans = {"shuffle": run(right_size_hint=1 << 40)}
+    # a limit just below the scan bound plans the shuffle; a tiny hint wins
+    bound = joins._size_bound(read_table(SF, "customer", ["c_custkey", "c_mktsegment"]))
+    monkeypatch.setattr(joins, "DEFAULT_BROADCAST_LIMIT", bound - 1)
+    assert _strategy(run()) == "shuffle"
+    plans["broadcast"] = run(right_size_hint=64)
+    for strategy, ds in plans.items():
+        assert _strategy(ds) == strategy
+        out = ds.to_pandas()
+        assert len(out) == len(exp)
+        assert np.array_equal(np.sort(out["o_orderkey"].to_numpy()), exp_keys)
+
+
+def test_no_join_partitions_outside_the_planner():
+    """auto_join is the one join entry: Ray's Dataset.join requires
+    ``num_partitions``, so no other module of the package names it."""
+    import pathlib
+
+    import plateau_gis_converter_ray
+
+    root = pathlib.Path(plateau_gis_converter_ray.__file__).parent
+    offenders = [
+        p.relative_to(root).as_posix()
+        for p in root.rglob("*.py")
+        if p.relative_to(root).as_posix() != "stages/joins.py"
+        and "num_partitions" in p.read_text()
+    ]
+    assert offenders == []
 
 
 def test_planner_routed_queries_force_equal(ray_session):
@@ -150,13 +250,13 @@ def test_broadcast_overlapping_nonkey_columns_raise(ray_session):
         auto_join(left, right, on=("k",), how="inner", right_size_hint=64)
 
 
-def test_broadcast_semi_oversize_keys_fall_back(ray_session):
+def test_broadcast_semi_oversize_keys_fall_back(ray_session, monkeypatch):
     """The semi/anti key-set path enforces the same 4x runtime memory
     budget as the build path."""
     import pandas as pd
     import ray.data
 
-    from plateau_gis_converter_ray.stages.joins import auto_join
+    from plateau_gis_converter_ray.stages import joins
 
     left = ray.data.from_pandas(pd.DataFrame({"k": list(range(50))}))
     right = ray.data.from_pandas(
@@ -168,6 +268,9 @@ def test_broadcast_semi_oversize_keys_fall_back(ray_session):
     )
     # hint says tiny, runtime key set is ~10KB >> 4x limit of 256B ->
     # must fall back to the shuffle semi join and still be correct
-    j = auto_join(left_s, right, on=("k",), how="left_semi",
-                  right_size_hint=1, broadcast_limit_bytes=64).to_pandas()
+    monkeypatch.setattr(joins, "DEFAULT_BROADCAST_LIMIT", 64)
+    j = joins.auto_join(left_s, right, on=("k",), how="left_semi",
+                        right_size_hint=1)
+    assert _strategy(j) == "shuffle"
+    j = j.to_pandas()
     assert len(j) == 0  # no overlap between "7" and "777...7"

@@ -20,9 +20,13 @@ def test_shuffle_fallback_equals_broadcast(ray_session, monkeypatch):
     from plateau_gis_converter_ray.stages.dedup import minhash_lsh_candidates
 
     broadcast = _pairs(minhash_lsh_candidates(SF, jaccard_threshold=0.5))
-    # a zero broadcast limit forces the two-join delivery
+    # a zero broadcast limit forces the two-join delivery, and the planner
+    # plans both of its joins as hash shuffles
     monkeypatch.setattr(joins, "DEFAULT_BROADCAST_LIMIT", 0)
-    fallback = _pairs(minhash_lsh_candidates(SF, jaccard_threshold=0.5))
+    ds = minhash_lsh_candidates(SF, jaccard_threshold=0.5)
+    ops = ds._plan._logical_plan.dag.post_order_iter()
+    assert sum(type(o).__name__ == "Join" for o in ops) == 2
+    fallback = _pairs(ds)
 
     assert len(broadcast) > 0
     assert (fallback["doc_a"].to_numpy() == broadcast["doc_a"].to_numpy()).all()

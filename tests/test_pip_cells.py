@@ -91,9 +91,11 @@ def test_cell_id_resolution_and_ring():
     assert (15, 5) in ring0
 
 
-def test_pip_cell_join_equals_broadcast(ray_session):
-    """The cell-keyed hash-join spatial join == the broadcast-STRtree
-    PIPAssign plan, aggregated per municipality."""
+def test_pip_cell_join_equals_broadcast(ray_session, monkeypatch):
+    """The cell-keyed spatial join == the broadcast-STRtree PIPAssign plan,
+    aggregated per municipality, under both join plans: the planner's
+    default (the small in-memory polygon side is broadcast) and the hash
+    shuffle on the cell key (a zero broadcast limit)."""
     import numpy as np
     import pandas as pd
     import pyarrow as pa
@@ -109,13 +111,19 @@ def test_pip_cell_join_equals_broadcast(ray_session):
         pip_cell_join,
     )
 
+    from plateau_gis_converter_ray.stages import joins
+
     sf = "/root/testdata/sf0.001"
-    got = (
-        pip_cell_join(sf)
-        .to_pandas()
-        .sort_values("muni_id")
-        .reset_index(drop=True)
-    )
+
+    def cell_join(n_joins):
+        ds = pip_cell_join(sf)
+        ops = ds._plan._logical_plan.dag.post_order_iter()
+        assert sum(type(o).__name__ == "Join" for o in ops) == n_joins
+        return ds.to_pandas().sort_values("muni_id").reset_index(drop=True)
+
+    broadcast = cell_join(0)
+    monkeypatch.setattr(joins, "DEFAULT_BROADCAST_LIMIT", 0)
+    shuffle = cell_join(1)
 
     def prep(batch: pa.Table) -> pa.Table:
         batch = add_lnglat_arith(batch, "event_id")
@@ -138,4 +146,5 @@ def test_pip_cell_join_equals_broadcast(ray_session):
         .reset_index(drop=True)
     )
     assert len(exp) > 0
-    pd.testing.assert_frame_equal(got, exp)
+    pd.testing.assert_frame_equal(broadcast, exp)
+    pd.testing.assert_frame_equal(shuffle, exp)
